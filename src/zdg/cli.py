@@ -54,6 +54,16 @@ def _read_semigroup(source: str) -> Semigroup:
     return validate(_read_table(source))
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("invalid int value: %r" % text) from None
+    if value < 1:
+        raise argparse.ArgumentTypeError("must be at least 1, got %d" % value)
+    return value
+
+
 # -- subcommands ---------------------------------------------------------------
 
 
@@ -199,10 +209,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sp.add_argument(
         "--cutset-cap",
-        type=int,
+        type=_positive_int,
         default=4,
         metavar="K",
-        help="largest cutset size searched exhaustively (default 4)",
+        help="largest cutset size searched, at least 1 (default 4)",
     )
     sp.add_argument("--format", choices=("text", "report"), default="text")
     sp.set_defaults(fn=_cmd_check)

@@ -4,6 +4,17 @@ Everything here is deterministic: witnesses are canonicalized (sorted,
 lexicographically least) and iteration orders are fixed. Instances stay
 small (a few dozen vertices), so the solvers favour clarity plus simple
 pruning over asymptotic tricks.
+
+The separator searches are the exception, because trying every edge
+subset up to the cap costs E^cap. Minimal edge cutsets are the bonds of
+the graph, enumerated by a DFS over the two-sided splits a BFS spanning
+tree allows, pruned by the number of crossing edges and by whether both
+sides can still be connected. Minimal vertex cutsets are grown vertex by
+vertex and accepted by a local test: every cutset vertex has a neighbour
+in every component left; no set containing a cutset is grown further.
+Both run on bitmask adjacency. The edge search only visits partial
+splits within the cap whose sides can still be joined up, so its cost
+follows the cuts found rather than E^cap.
 """
 
 from __future__ import annotations
@@ -12,6 +23,7 @@ import itertools
 import math
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import DisconnectedError, TooFewVerticesError, UnknownVertexError
 
@@ -139,6 +151,36 @@ class Graph:
 
     def is_connected(self) -> bool:
         return self.n <= 1 or len(self._components_positions()) == 1
+
+    @cached_property
+    def _union_tables(self) -> tuple[tuple[int, ...], ...]:
+        # one table per byte of positions: entry m is the union of the
+        # neighbour masks of the positions whose bits are set in m
+        tables = []
+        for base in range(0, self.n, 8):
+            tab = [0] * (1 << min(8, self.n - base))
+            for m in range(1, len(tab)):
+                low = m & -m
+                tab[m] = tab[m ^ low] | self._mask[base + low.bit_length() - 1]
+            tables.append(tuple(tab))
+        return tuple(tables)
+
+    def _reach(self, seeds: int, allowed: int) -> int:
+        """Positions reachable from the mask seeds inside the mask allowed.
+
+        BFS a whole layer at a time: the neighbours of the frontier come
+        from one table lookup per byte of it.
+        """
+        tables = self._union_tables
+        seen = frontier = seeds & allowed
+        while frontier:
+            nbrs = 0
+            for tab in tables:
+                nbrs |= tab[frontier & 255]
+                frontier >>= 8
+            frontier = nbrs & allowed & ~seen
+            seen |= frontier
+        return seen
 
     def is_bipartite(self) -> bool:
         """True iff there is no odd cycle (BFS 2-coloring)."""
@@ -378,39 +420,56 @@ def bridges(g: Graph) -> tuple[tuple[int, int], ...]:
     return tuple(sorted(out))
 
 
-def _disconnected_without(g: Graph, removed_positions) -> bool:
-    remaining = [i for i in range(g.n) if i not in removed_positions]
-    if len(remaining) < 2:
-        return False
-    removed = set(removed_positions)
-    seen = {remaining[0]}
-    queue = deque([remaining[0]])
-    while queue:
-        u = queue.popleft()
-        for w in g._nbr[u]:
-            if w not in removed and w not in seen:
-                seen.add(w)
-                queue.append(w)
-    return len(seen) < len(remaining)
+def _positions(mask: int):
+    """The positions whose bits are set in mask, ascending."""
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        yield low.bit_length() - 1
+
+
+def _components_within(g: Graph, allowed: int) -> list[int]:
+    """Connected components of g restricted to the position mask allowed."""
+    comps = []
+    while allowed:
+        comp = g._reach(allowed & -allowed, allowed)
+        comps.append(comp)
+        allowed &= ~comp
+    return comps
 
 
 def minimal_vertex_cutsets(g: Graph, size_cap: int = VERTEX_CUTSET_CAP) -> tuple[frozenset[int], ...]:
     """Inclusion-minimal vertex sets T with G-T disconnected, |T| <= cap.
 
-    Enumerates subsets by increasing size, so minimality only needs a
-    containment check against smaller cutsets already found.
+    Grows T one vertex at a time in increasing position order. A T with
+    G-T disconnected is kept when every t in T has a neighbour in each
+    component of G-T, and is never grown further, since no superset of a
+    cutset is minimal. That local test is exact: such a t put back joins
+    all the components, and a t missing some component C leaves C cut
+    off by T-t. A complete graph has no vertex cutsets at all.
     """
     _require_connected(g)
-    if g.n < 3:
+    n = g.n
+    if n < 3:
         raise TooFewVerticesError("vertex cutsets need at least 3 vertices")
-    found: list[frozenset[int]] = []
-    for size in range(1, min(size_cap, g.n - 2) + 1):
-        for combo in itertools.combinations(range(g.n), size):
-            cand = frozenset(combo)
-            if any(prev <= cand for prev in found):
-                continue
-            if _disconnected_without(g, cand):
-                found.append(cand)
+    cap = min(size_cap, n - 2)
+    if cap < 1 or g.edge_count == n * (n - 1) // 2:
+        return ()
+    masks = g._mask
+    found: list[tuple[int, ...]] = []
+    # (T, the positions not in T, the least position T may grow by)
+    stack = [((), (1 << n) - 1, 0)]
+    while stack:
+        t, rest, nxt = stack.pop()
+        for v in range(nxt, n):
+            cand = t + (v,)
+            left = rest & ~(1 << v)
+            comps = _components_within(g, left)
+            if len(comps) > 1:
+                if all(masks[i] & comp for i in cand for comp in comps):
+                    found.append(cand)
+            elif len(cand) < cap:
+                stack.append((cand, left, v + 1))
     out = [frozenset(g.vertices[i] for i in c) for c in found]
     out.sort(key=lambda c: (len(c), sorted(c)))
     return tuple(out)
@@ -443,25 +502,69 @@ def components_without_edges(g: Graph, removed_edges) -> list[frozenset[int]]:
 def minimal_edge_cutsets(g: Graph, size_cap: int = EDGE_CUTSET_CAP) -> tuple[tuple[tuple[int, int], ...], ...]:
     """Inclusion-minimal edge sets whose removal disconnects g, |U| <= cap.
 
-    Every returned cutset leaves exactly two connected components; this
-    is asserted because it is forced for inclusion-minimal cuts.
+    In a connected graph these are exactly the bonds: the edge sets
+    delta(A) running between a vertex set A and its complement, where
+    both sides induce connected subgraphs. Removing one therefore leaves
+    exactly two components.
+
+    Fix a BFS spanning tree rooted at position 0. A 2-colouring with the
+    root on the near side is determined by which tree edges it cuts, so a
+    DFS that places the vertices in BFS order, on the side of their tree
+    parent or across, meets every colouring once. A branch is pruned as
+    soon as the edges crossing between placed vertices exceed the cap, or
+    as soon as either side can no longer be joined up through the
+    vertices not yet placed. Every leaf reached is a bond, so the cost
+    follows the number of cuts within the cap rather than E^cap.
     """
     _require_connected(g)
-    if g.n < 2:
+    n = g.n
+    if n < 2:
         raise TooFewVerticesError("edge cutsets need at least 2 vertices")
-    all_edges = g.edges()
-    found: list[tuple[tuple[int, int], ...]] = []
-    found_sets: list[frozenset] = []
-    for size in range(1, min(size_cap, len(all_edges)) + 1):
-        for combo in itertools.combinations(all_edges, size):
-            cand = frozenset(combo)
-            if any(prev <= cand for prev in found_sets):
-                continue
-            comps = components_without_edges(g, combo)
-            if len(comps) > 1:
-                assert len(comps) == 2, "minimal edge cutset must leave two components"
-                found.append(tuple(sorted(combo)))
-                found_sets.append(cand)
+    masks = g._mask
+    order = [0]
+    reached = 1
+    for u in order:
+        fresh = masks[u] & ~reached
+        reached |= fresh
+        order.extend(_positions(fresh))
+    # placed[k]: the first k vertices of order; earlier[k]: the
+    # neighbours of order[k] among them
+    placed = [0]
+    earlier = []
+    for v in order:
+        earlier.append(masks[v] & placed[-1])
+        placed.append(placed[-1] | 1 << v)
+    full = placed[n]
+    found_masks: list[int] = []
+    # (vertices placed, far-side mask, edges crossing between them)
+    stack = [(1, 0, 0)]
+    while stack:
+        k, far, crossing = stack.pop()
+        near = placed[k] & ~far
+        if g._reach(1, full & ~far) & near != near:
+            continue
+        if far and g._reach(far & -far, full & ~near) & far != far:
+            continue
+        if k == n:
+            if far:
+                found_masks.append(far)
+            continue
+        v = order[k]
+        if_near = crossing + (earlier[k] & far).bit_count()
+        if_far = crossing + (earlier[k] & near).bit_count()
+        if if_near <= size_cap:
+            stack.append((k + 1, far, if_near))
+        if if_far <= size_cap:
+            stack.append((k + 1, far | 1 << v, if_far))
+    vs = g.vertices
+    found = []
+    for far in found_masks:
+        cut = [
+            (vs[i], vs[j]) if i < j else (vs[j], vs[i])
+            for i in _positions(far)
+            for j in _positions(masks[i] & ~far)
+        ]
+        found.append(tuple(sorted(cut)))
     found.sort(key=lambda u: (len(u), u))
     return tuple(found)
 

@@ -8,8 +8,9 @@ tests use.
 
 import itertools
 import random
+from collections import deque
 
-from zdg import Graph
+from zdg import DisconnectedError, Graph, TooFewVerticesError
 
 
 def brute_chromatic_number(g) -> int:
@@ -92,3 +93,92 @@ def naive_zero_tables(n):
                 break
         if ok:
             yield tuple(tuple(r) for r in t)
+
+
+def _disconnected_without(g, removed_positions) -> bool:
+    remaining = [i for i in range(g.n) if i not in removed_positions]
+    if len(remaining) < 2:
+        return False
+    removed = set(removed_positions)
+    seen = {remaining[0]}
+    queue = deque([remaining[0]])
+    while queue:
+        u = queue.popleft()
+        for w in g._nbr[u]:
+            if w not in removed and w not in seen:
+                seen.add(w)
+                queue.append(w)
+    return len(seen) < len(remaining)
+
+
+def brute_minimal_vertex_cutsets(g, size_cap):
+    """Inclusion-minimal vertex sets T with G-T disconnected, |T| <= cap.
+
+    Tries every vertex subset by increasing size, so minimality only
+    needs a containment check against smaller cutsets already found.
+    """
+    if not g.is_connected():
+        raise DisconnectedError("operation needs a connected graph")
+    if g.n < 3:
+        raise TooFewVerticesError("vertex cutsets need at least 3 vertices")
+    found = []
+    for size in range(1, min(size_cap, g.n - 2) + 1):
+        for combo in itertools.combinations(range(g.n), size):
+            cand = frozenset(combo)
+            if any(prev <= cand for prev in found):
+                continue
+            if _disconnected_without(g, cand):
+                found.append(cand)
+    out = [frozenset(g.vertices[i] for i in c) for c in found]
+    out.sort(key=lambda c: (len(c), sorted(c)))
+    return tuple(out)
+
+
+def _components_without_edges(g, removed_edges):
+    removed = set()
+    for (u, v) in removed_edges:
+        i, j = g.position(u), g.position(v)
+        removed.add((i, j))
+        removed.add((j, i))
+    todo = set(range(g.n))
+    comps = []
+    while todo:
+        start = min(todo)
+        seen = {start}
+        queue = deque([start])
+        while queue:
+            u = queue.popleft()
+            for w in g._nbr[u]:
+                if w not in seen and (u, w) not in removed:
+                    seen.add(w)
+                    queue.append(w)
+        todo -= seen
+        comps.append(frozenset(seen))
+    comps.sort(key=min)
+    return comps
+
+
+def brute_minimal_edge_cutsets(g, size_cap):
+    """Inclusion-minimal edge sets whose removal disconnects g, |U| <= cap.
+
+    Tries every edge subset by increasing size and keeps those that
+    disconnect g and contain no smaller cutset already found.
+    """
+    if not g.is_connected():
+        raise DisconnectedError("operation needs a connected graph")
+    if g.n < 2:
+        raise TooFewVerticesError("edge cutsets need at least 2 vertices")
+    all_edges = g.edges()
+    found = []
+    found_sets = []
+    for size in range(1, min(size_cap, len(all_edges)) + 1):
+        for combo in itertools.combinations(all_edges, size):
+            cand = frozenset(combo)
+            if any(prev <= cand for prev in found_sets):
+                continue
+            comps = _components_without_edges(g, combo)
+            if len(comps) > 1:
+                found.append(tuple(sorted(combo)))
+                found_sets.append(cand)
+    found.sort(key=lambda u: (len(u), u))
+    return tuple(found)

@@ -170,6 +170,13 @@ def test_check_cutset_cap_flag(capsys):
     assert "n/a" in out
 
 
+def test_check_cutset_cap_below_one_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["check", "ex3.4", "--cutset-cap", "0"])
+    assert info.value.code == 2
+    assert "--cutset-cap: must be at least 1" in capsys.readouterr().err
+
+
 def test_check_stdin(capsys, monkeypatch):
     _, table_text, _ = run_cli(capsys, "example", "powerset:2")
     monkeypatch.setattr(sys, "stdin", io.StringIO(table_text))

@@ -1,0 +1,145 @@
+"""Separator searches against the brute-force oracles, plus large pins."""
+
+import hashlib
+import random
+
+import pytest
+
+from zdg import (
+    DisconnectedError,
+    EnumerationOptions,
+    Graph,
+    builtin_example,
+    enumerate_semigroups,
+    gamma,
+    gamma_bar,
+    minimal_edge_cutsets,
+    minimal_vertex_cutsets,
+)
+from zdg.cli import main
+from oracles import (
+    brute_minimal_edge_cutsets,
+    brute_minimal_vertex_cutsets,
+    random_graph,
+)
+
+CAPS = (1, 2, 3, 4)
+
+# builtin examples small enough for the oracles; null:10 and up and
+# powerset:5 would take them minutes
+SMALL_EXAMPLES = (
+    "ex3.4", "ex3.5", "ex3.8", "ex4.3", "ex4.5", "zg:6", "null:5", "null:8",
+    "powerset:2", "powerset:4", "ortho:zg3+zg3", "ortho:null3+null4",
+    "ortho:powerset2+powerset2", "ortho:powerset2+powerset3",
+    "ortho:null4+powerset3", "ortho:null4+null4+zg3",
+)
+
+
+def corpus_graphs():
+    for order in range(2, 6):
+        for s in enumerate_semigroups(EnumerationOptions(order, up_to_iso=True)):
+            yield gamma(s)
+            yield gamma_bar(s)
+
+
+def example_graphs():
+    for eid in SMALL_EXAMPLES:
+        s = builtin_example(eid)
+        yield gamma(s)
+        yield gamma_bar(s)
+
+
+def connected_random_graphs(count):
+    rng = random.Random(2207)
+    out = {}
+    while len(out) < count:
+        g = random_graph(rng, max_n=7)
+        if g.n >= 2 and g.is_connected():
+            out[g.edges()] = g
+    return list(out.values())
+
+
+def assert_matches_oracles(graphs):
+    """Compare both searches with the oracles at every cap; returns the
+    number of distinct graphs compared."""
+    seen = set()
+    for g in graphs:
+        key = (g.vertices, g.edges())
+        if g.n < 2 or key in seen:
+            continue
+        seen.add(key)
+        # the oracles grow cutsets by size, so their answer at a smaller
+        # cap is their answer at the largest one cut down to that size
+        edge_cuts = brute_minimal_edge_cutsets(g, max(CAPS))
+        vertex_cuts = brute_minimal_vertex_cutsets(g, max(CAPS)) if g.n >= 3 else ()
+        for cap in CAPS:
+            assert minimal_edge_cutsets(g, cap) == tuple(
+                u for u in edge_cuts if len(u) <= cap)
+            if g.n >= 3:
+                assert minimal_vertex_cutsets(g, cap) == tuple(
+                    t for t in vertex_cuts if len(t) <= cap)
+    return len(seen)
+
+
+def test_cutsets_match_oracles_on_order5_corpus():
+    # the order <= 5 corpus realizes 16 distinct graphs on two or more vertices
+    assert assert_matches_oracles(corpus_graphs()) == 16
+
+
+def test_cutsets_match_oracles_on_small_examples():
+    assert assert_matches_oracles(example_graphs()) == 17
+
+
+def test_cutsets_match_oracles_on_random_graphs():
+    assert assert_matches_oracles(connected_random_graphs(200)) == 200
+
+
+def test_edge_cutsets_leave_two_connected_sides():
+    g = gamma(builtin_example("powerset:4"))
+    for cut in minimal_edge_cutsets(g):
+        kept = [e for e in g.edges() if e not in cut]
+        sides = Graph(g.vertices, kept).components()
+        assert len(sides) == 2
+        assert all((u in sides[0]) != (v in sides[0]) for u, v in cut)
+
+
+def test_cutsets_need_a_connected_graph():
+    g = Graph(range(4), [(0, 1), (2, 3)])
+    with pytest.raises(DisconnectedError):
+        minimal_edge_cutsets(g)
+    with pytest.raises(DisconnectedError):
+        minimal_vertex_cutsets(g)
+
+
+# -- pins beyond brute-force reach ----------------------------------------------
+
+
+def test_complete_k23_cutsets():
+    g = gamma(builtin_example("null:24"))
+    assert (g.n, g.edge_count) == (23, 253)
+    assert minimal_vertex_cutsets(g, 4) == ()
+    assert minimal_edge_cutsets(g, 4) == ()
+    # the smallest bonds of K23 isolate one vertex: 22 edges each
+    stars = minimal_edge_cutsets(g, 22)
+    assert len(stars) == 23
+    for v, cut in zip(g.vertices, stars):
+        assert cut == tuple(sorted(
+            (min(u, v), max(u, v)) for u in g.vertices if u != v
+        ))
+
+
+# confirmed once against brute_minimal_edge_cutsets and
+# brute_minimal_vertex_cutsets patched into the checkers (about a minute)
+POWERSET5_REPORT_SHA256 = (
+    "a35fc428f4609def65fa628b38c89ab1616d483c35143e2c6a82fd1024e5537a"
+)
+
+
+def test_powerset5_cutset_counts_and_report(capsys):
+    g = gamma(builtin_example("powerset:5"))
+    assert (g.n, g.edge_count) == (30, 90)
+    assert len(minimal_vertex_cutsets(g)) == 5
+    assert len(minimal_edge_cutsets(g)) == 15
+    assert main(["check", "powerset:5", "--format", "report"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == POWERSET5_REPORT_SHA256
