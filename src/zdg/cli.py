@@ -54,14 +54,21 @@ def _read_semigroup(source: str) -> Semigroup:
     return validate(_read_table(source))
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError("invalid int value: %r" % text) from None
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be at least 1, got %d" % value)
-    return value
+def _int_at_least(low: int):
+    """An argparse type: an integer no smaller than low."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError("invalid int value: %r" % text) from None
+        if value < low:
+            raise argparse.ArgumentTypeError(
+                "must be at least %d, got %d" % (low, value)
+            )
+        return value
+
+    return parse
 
 
 # -- subcommands ---------------------------------------------------------------
@@ -209,7 +216,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sp.add_argument(
         "--cutset-cap",
-        type=_positive_int,
+        type=_int_at_least(1),
         default=4,
         metavar="K",
         help="largest cutset size searched, at least 1 (default 4)",
@@ -221,8 +228,10 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--order", type=int, required=True, metavar="N")
         sp.add_argument("--up-to-iso", action="store_true")
         sp.add_argument("--reduced", action="store_true")
-        sp.add_argument("--limit", type=int, default=None, metavar="M")
-        sp.add_argument("--workers", type=int, default=1, metavar="W")
+        sp.add_argument(
+            "--limit", type=_int_at_least(0), default=None, metavar="M"
+        )
+        sp.add_argument("--workers", type=_int_at_least(1), default=1, metavar="W")
 
     sp = sub.add_parser(
         "enumerate", help="generate all semigroups of one order as .sgt records"

@@ -1,13 +1,20 @@
 """Exhaustive generation of small commutative semigroups with zero.
 
 Tables are generated by backtracking over the upper triangle of the
-multiplication table (row and column 0 are pinned to 0), pruning a
-branch as soon as some fully determined associativity triple fails.
-Emission order is ascending in the flat row-major table, so repeated
-runs produce byte-identical output.
+multiplication table (row and column 0 are pinned to 0). Pruning is
+incomplete: an associativity triple is checked only at the cell that
+completes its inner products xy and yz, and only if both outer products
+(xy)z and x(yz) are set by then. A triple whose outer product lands on
+a later cell is never looked at again during the descent, so every
+complete table is checked in full at the leaf (_assoc_full), which
+rejects most of them. Emission order is ascending in the flat row-major
+table, so repeated runs produce byte-identical output.
 
 Commutativity lets the associativity check range over triples (x, y, z)
 with x <= z only: the remaining instances follow by swapping factors.
+
+Up to isomorphism, a raw table is kept only when it equals its
+canonical_form, the least relabeling fixing 0.
 """
 
 from __future__ import annotations
@@ -17,7 +24,7 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
-from .errors import OrderTooLargeError, UnknownPredicateError
+from .errors import MalformedTableError, OrderTooLargeError, UnknownPredicateError
 from .graph import (
     bridges,
     chromatic_number,
@@ -117,20 +124,153 @@ def _descend(n, cells, rank, watch, t, k, require_reduced):
     t[ji] = 0
 
 
+def _to_front(sigma, pos, cs, ce, x) -> int:
+    """Give x the first label of its block and split it off; return it."""
+    p = pos[x]
+    first, e = cs[p], ce[p]
+    if e - first > 1:
+        y = sigma[first]
+        sigma[first], sigma[p] = x, y
+        pos[x], pos[y] = first, p
+        cs[first + 1:e] = [first + 1] * (e - first - 1)
+        ce[first] = first + 1
+    return first
+
+
 def canonical_form(s) -> CayleyTable:
     """Least relabeling of the table among all permutations fixing 0.
 
-    Accepts a Semigroup or a bare CayleyTable; two semigroups are
-    isomorphic exactly when their canonical forms are equal.
+    Accepts a Semigroup or a bare CayleyTable, zero-framed or not and
+    commutative or not; two semigroups are isomorphic exactly when their
+    canonical forms are equal. The result is the lex-least row-major
+    table over all (n-1)! relabelings fixing 0, with names dropped, but
+    the relabelings are not tried one by one:
+
+    - A relabeling is built label by label (sigma: new label -> old
+      element). The candidate's cells are produced lazily in row-major
+      order and compared with the best table so far; a branch stops at
+      the first cell that is larger, so a full table is only copied out
+      when it is no larger. Row 0 and column 0 are skipped when they are
+      all 0, since they then stay 0 under every sigma.
+    - Labels not yet given out form an ordered partition: each block of
+      old elements owns a run of consecutive labels. A cell whose product
+      lands in a block takes that block's first label, since any other
+      member of the block would make the cell larger. A row segment over
+      one block whose products all have fixed labels is sorted, which
+      splits the block by product; any other order makes the segment
+      larger.
+    - Only where neither rule decides does the search branch, and then
+      only over the block members that give the cell its least value.
+      For sigma(1) this keeps the elements whose square is 0, else the
+      idempotents, else the rest.
+
+    Entries must be elements 0..n-1 (MalformedTableError otherwise).
     """
     table = s.table if isinstance(s, Semigroup) else s
     n = table.order
-    best = table.entries
-    for p in itertools.permutations(range(1, n)):
-        cand = table.relabeled((0,) + p).entries
-        if cand < best:
-            best = cand
-    return CayleyTable(order=n, entries=best, names=None)
+    rows = table.entries
+    t = [rows[i][j] for i in range(n) for j in range(n)]
+    if t and (min(t) < 0 or max(t) >= n):
+        raise MalformedTableError("table entries must lie in 0..%d" % (n - 1))
+    lo = 0 if any(t[:n]) or any(t[i * n] for i in range(n)) else 1
+    cells = [(a, b) for a in range(lo, n) for b in range(lo, n)]
+    ncells = len(cells)
+    cand = [0] * ncells
+    best = None
+
+    # sigma[label] = element and pos[element] = label; labels cs[i] up to
+    # ce[i] (exclusive) form the block holding label i. A state belongs to
+    # one call of walk, which may change it in place.
+    def walk(c, tied, sigma, pos, cs, ce):
+        """Fill cells from c on; True when best was replaced below."""
+        nonlocal best
+        while c < ncells:
+            a, b = cells[c]
+            if ce[a] - cs[a] > 1:
+                return branch(c, tied, sigma, pos, cs, ce, a)
+            ra = sigma[a] * n
+            e = ce[b]
+            if e - b == 1:
+                x = t[ra + sigma[b]]
+                v = pos[x]
+                if ce[v] - cs[v] > 1:
+                    v = _to_front(sigma, pos, cs, ce, x)
+                if tied and v != best[c]:
+                    if v > best[c]:
+                        return False
+                    tied = False
+                cand[c] = v
+                c += 1
+            else:
+                # columns b..e-1 form one block: sort it by product label
+                keyed = []
+                for i in range(b, e):
+                    z = sigma[i]
+                    v = pos[t[ra + z]]
+                    if ce[v] - cs[v] > 1:
+                        return branch(c, tied, sigma, pos, cs, ce, b)
+                    keyed.append((v, z))
+                keyed.sort()
+                values = [v for v, _ in keyed]
+                first = b
+                for i, (v, z) in enumerate(keyed, b):
+                    sigma[i] = z
+                    pos[z] = i
+                    if i > b and v != values[i - b - 1]:
+                        ce[first:i] = [i] * (i - first)
+                        first = i
+                    cs[i] = first
+                ce[first:e] = [e] * (e - first)
+                for v in values:
+                    if tied and v != best[c]:
+                        if v > best[c]:
+                            return False
+                        tied = False
+                    cand[c] = v
+                    c += 1
+        best = cand[:]
+        return True
+
+    def branch(c, tied, sigma, pos, cs, ce, lab):
+        """Try the members of the block starting at lab as sigma(lab)."""
+        a, b = cells[c]
+        group = []
+        vmin = n
+        for i in range(lab, ce[lab]):
+            y = sigma[i]
+            x = t[(y if a == lab else sigma[a]) * n + (y if b == lab else sigma[b])]
+            # the label x would get if y took label lab
+            if x == y:
+                v = lab
+            else:
+                v = pos[x]
+                if ce[v] - cs[v] > 1:
+                    v = lab + 1 if cs[v] == lab else cs[v]
+            if v < vmin:
+                vmin = v
+                group = [y]
+            elif v == vmin:
+                group.append(y)
+        if tied and vmin > best[c]:
+            return False
+        updated = False
+        for y in group:
+            if y == group[-1]:
+                state = sigma, pos, cs, ce
+            else:
+                state = sigma[:], pos[:], cs[:], ce[:]
+            _to_front(*state, y)
+            if walk(c, tied, *state):
+                tied = updated = True
+        return updated
+
+    identity = list(range(n))
+    walk(0, False, identity, identity[:], [0] + [1] * (n - 1), [1] + [n] * (n - 1))
+    flat = [0] * (n * n)
+    for (a, b), v in zip(cells, best):
+        flat[a * n + b] = v
+    entries = tuple(tuple(flat[r * n:(r + 1) * n]) for r in range(n))
+    return CayleyTable(order=n, entries=entries, names=None)
 
 
 def _is_canonical(table: CayleyTable) -> bool:

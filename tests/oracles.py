@@ -2,15 +2,17 @@
 
 Everything here is deliberately naive: straight enumeration over all
 candidates with no pruning, and no shared logic with the library beyond
-the Graph container itself. Slow but obviously correct at the sizes the
-tests use.
+the Graph and CayleyTable containers and the error classes
+(tests/test_lint.py enforces that). Slow but obviously correct at the
+sizes the tests use.
 """
 
 import itertools
+import math
 import random
 from collections import deque
 
-from zdg import DisconnectedError, Graph, TooFewVerticesError
+from zdg import CayleyTable, DisconnectedError, Graph, TooFewVerticesError
 
 
 def brute_chromatic_number(g) -> int:
@@ -182,3 +184,52 @@ def brute_minimal_edge_cutsets(g, size_cap):
                 found_sets.append(cand)
     found.sort(key=lambda u: (len(u), u))
     return tuple(found)
+
+
+def brute_canonical_form(table) -> CayleyTable:
+    """Least relabeling of the table among all permutations fixing 0.
+
+    Builds every relabeled table in full (perm[old] = new, so cell
+    (perm[i], perm[j]) holds perm[T[i][j]]) and keeps the least.
+    """
+    n = table.order
+    rows = table.entries
+    best = rows
+    for p in itertools.permutations(range(1, n)):
+        perm = (0,) + p
+        new = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(n):
+                new[perm[i]][perm[j]] = perm[rows[i][j]]
+        cand = tuple(map(tuple, new))
+        if cand < best:
+            best = cand
+    return CayleyTable(order=n, entries=best, names=None)
+
+
+def automorphism_count(rows) -> int:
+    """Permutations phi fixing 0 with phi(xy) = phi(x)phi(y) for all x, y."""
+    n = len(rows)
+    count = 0
+    for p in itertools.permutations(range(1, n)):
+        phi = (0,) + p
+        if all(
+            phi[rows[x][y]] == rows[phi[x]][phi[y]]
+            for x in range(n)
+            for y in range(n)
+        ):
+            count += 1
+    return count
+
+
+def burnside_class_count(tables, n: int) -> int:
+    """Isomorphism classes among a relabeling-closed set of order-n tables.
+
+    Burnside's lemma: the number of orbits of the relabelings fixing 0
+    is the sum of |Aut(T)| over the tables, divided by (n-1)!.
+    """
+    total = sum(automorphism_count(rows) for rows in tables)
+    classes, rest = divmod(total, math.factorial(n - 1))
+    if rest:
+        raise AssertionError("orbit sizes do not add up: %d / %d!" % (total, n - 1))
+    return classes

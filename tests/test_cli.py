@@ -209,6 +209,31 @@ def test_enumerate_limit(capsys):
     assert len(out.strip().split("\n\n")) == 5
 
 
+@pytest.mark.parametrize("verb", ["enumerate", "search"])
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--limit", "-1", "--limit: must be at least 0, got -1"),
+        ("--workers", "0", "--workers: must be at least 1, got 0"),
+        ("--workers", "-2", "--workers: must be at least 1, got -2"),
+    ],
+)
+def test_corpus_flags_out_of_range_are_usage_errors(capsys, verb, flag, value, message):
+    argv = [verb, "--order", "3", flag, value]
+    if verb == "search":
+        argv += ["--predicate", "reduced"]
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    assert message in capsys.readouterr().err
+
+
+def test_enumerate_limit_zero_emits_nothing(capsys):
+    code, out, _ = run_cli(capsys, "enumerate", "--order", "3", "--limit", "0")
+    assert code == 0
+    assert out == ""
+
+
 def test_enumerate_rejects_large_order(capsys):
     code, _, err = run_cli(capsys, "enumerate", "--order", "9")
     assert code == 1

@@ -2,12 +2,14 @@
 
 import itertools
 import math
+import random
 
 import pytest
 
 from zdg import (
     CayleyTable,
     EnumerationOptions,
+    MalformedTableError,
     OrderTooLargeError,
     UnknownPredicateError,
     audit,
@@ -21,12 +23,21 @@ from zdg import (
     search,
     validate,
 )
-from oracles import naive_zero_tables
+from oracles import brute_canonical_form, burnside_class_count, naive_zero_tables
 
 # raw counts pinned from the naive generate-and-filter oracle
 RAW_COUNTS = {2: 2, 3: 14, 4: 194}
-# class counts derived by canonical-form deduplication of the raw corpus
+# class counts confirmed by the Burnside oracle, which counts automorphisms
+# of the raw corpus without canonical forms; order 6 has 1,538 classes, a
+# count checked the same way outside this suite
 ISO_COUNTS = {2: 2, 3: 8, 4: 39, 5: 226}
+
+# builtin examples of order <= 7, small enough for the brute-force oracle
+SMALL_EXAMPLES = (
+    "ex3.4", "ex3.5", "ex3.8", "ex4.5", "zg:4", "zg:6", "zg:7", "null:2",
+    "null:7", "powerset:2", "ortho:zg3+zg3", "ortho:null3+null4",
+    "ortho:powerset2+powerset2", "ortho:zg2+zg2+zg2",
+)
 
 
 def tables(opts, **kw):
@@ -43,6 +54,12 @@ def test_raw_counts_match_naive_oracle():
 def test_iso_class_counts_are_stable():
     for n, count in ISO_COUNTS.items():
         assert len(tables(EnumerationOptions(order=n, up_to_iso=True))) == count
+
+
+def test_iso_class_counts_match_burnside_oracle():
+    for n, count in ISO_COUNTS.items():
+        raw = [t.entries for t in tables(EnumerationOptions(order=n))]
+        assert burnside_class_count(raw, n) == count
 
 
 def test_order_two_tables_are_the_two_known_ones():
@@ -105,6 +122,51 @@ def test_canonical_form_is_relabeling_invariant():
     for p in itertools.permutations(range(1, s.n)):
         relabeled = s.table.relabeled((0,) + p)
         assert canonical_form(relabeled).entries == base
+
+
+def random_bare_table(rng, framed):
+    """A random table that need not be a semigroup; unframed ones are
+    forced to be non-commutative as well. Entries come from a few
+    elements and are often 0, so relabelings tie often."""
+    n = rng.randint(2, 6)
+    values = rng.sample(range(n), rng.randint(1, n))
+    zeros = rng.random()
+    rows = [
+        [0 if rng.random() < zeros else rng.choice(values) for _ in range(n)]
+        for _ in range(n)
+    ]
+    if framed:
+        for i in range(n):
+            rows[0][i] = rows[i][0] = 0
+    else:
+        rows[0][0] = rng.randrange(1, n)
+        rows[n - 1][0] = (rows[0][n - 1] + 1) % n
+    return CayleyTable.from_rows(rows)
+
+
+def test_canonical_form_matches_brute_force_oracle():
+    inputs = []
+    for n in (2, 3, 4, 5):
+        inputs += tables(EnumerationOptions(order=n))
+    inputs += tables(EnumerationOptions(order=6, limit=2000))
+    rng = random.Random(2007)
+    for eid in SMALL_EXAMPLES:
+        table = builtin_example(eid).table
+        for _ in range(3):
+            perm = [0] + rng.sample(range(1, table.order), table.order - 1)
+            inputs.append(table.relabeled(tuple(perm)))
+    inputs += [random_bare_table(rng, framed=k % 2 == 0) for k in range(240)]
+    assert sum(t.order == 7 for t in inputs) >= 6
+    assert sum(t.entries[0][0] != 0 for t in inputs) >= 120
+    for table in inputs:
+        assert canonical_form(table) == brute_canonical_form(table), table
+
+
+def test_canonical_form_rejects_out_of_range_entries():
+    with pytest.raises(MalformedTableError):
+        canonical_form(CayleyTable.from_rows([[0, 0], [0, 2]]))
+    with pytest.raises(MalformedTableError):
+        canonical_form(CayleyTable.from_rows([[0, 0], [0, -1]]))
 
 
 def test_null_semigroups_share_canonical_form():

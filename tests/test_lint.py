@@ -19,3 +19,36 @@ def test_package_has_no_assert_statements():
             if isinstance(node, ast.Assert)
         ]
     assert found == []
+
+
+ORACLES = Path(__file__).resolve().parent / "oracles.py"
+# the containers an oracle may build on; everything else in zdg is code
+# under test, and an oracle sharing it would confirm the code by itself
+ORACLE_ALLOWED = {"Graph", "CayleyTable"}
+
+
+def _error_classes() -> set:
+    tree = ast.parse((PACKAGE / "errors.py").read_text(encoding="utf-8"))
+    return {node.name for node in tree.body if isinstance(node, ast.ClassDef)}
+
+
+def test_oracles_import_only_containers_and_errors_from_zdg():
+    allowed = ORACLE_ALLOWED | _error_classes()
+    assert "DisconnectedError" in allowed
+    tree = ast.parse(ORACLES.read_text(encoding="utf-8"), filename=str(ORACLES))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found += [
+                "import %s" % alias.name
+                for alias in node.names
+                if alias.name.split(".")[0] == "zdg"
+            ]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            if (node.module or "").split(".")[0] == "zdg":
+                found += [
+                    "from %s import %s" % (node.module, alias.name)
+                    for alias in node.names
+                    if alias.name not in allowed
+                ]
+    assert found == []
