@@ -88,12 +88,21 @@ _PARAMETRIC = {
 }
 
 
+def _family_member(family: str, k: int, text: str) -> Semigroup:
+    """The member of a parametric family; a parameter the builder rejects
+    is an unknown example, reported under text."""
+    try:
+        return _PARAMETRIC[family](k)
+    except ValueError as err:
+        raise UnknownExampleError("%s: %s" % (text, err)) from None
+
+
 def _parse_part(token: str) -> Semigroup:
     m = _PART_RE.match(token)
     if not m:
         raise UnknownExampleError(
             "bad part %r; expected e.g. null3, zg3, powerset2" % (token,))
-    return _PARAMETRIC[m.group(1)](int(m.group(2)))
+    return _family_member(m.group(1), int(m.group(2)), "part %r" % (token,))
 
 
 def available() -> tuple[str, ...]:
@@ -120,6 +129,6 @@ def builtin_example(example_id: str) -> Semigroup:
             if not arg.isdigit():
                 raise UnknownExampleError(
                     "%s takes a positive integer, got %r" % (family, arg))
-            return _PARAMETRIC[family](int(arg))
+            return _family_member(family, int(arg), eid)
     raise UnknownExampleError(
         "unknown example %r; available: %s" % (eid, ", ".join(available())))

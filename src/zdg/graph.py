@@ -5,23 +5,31 @@ lexicographically least) and iteration orders are fixed. Instances stay
 small (a few dozen vertices), so the solvers favour clarity plus simple
 pruning over asymptotic tricks.
 
-The separator searches are the exception, because trying every edge
-subset up to the cap costs E^cap. Minimal edge cutsets are the bonds of
-the graph, enumerated by a DFS over the two-sided splits a BFS spanning
-tree allows, pruned by the number of crossing edges and by whether both
-sides can still be connected. Minimal vertex cutsets are grown vertex by
+A graph stores its adjacency once, as one bitmask of neighbour positions
+per vertex, and every traversal is the layered bitmask BFS of
+``Graph._reach``: components, distances, girth, 2-colourability,
+components after removing edges and the separator searches. A graph is
+immutable, so what it derives is computed at most once and kept on it:
+components, the BFS layers from every vertex, metrics, girth and the
+clique number. A semigroup likewise builds Γ and Γ̄ once (see
+``Semigroup._gamma``), so every checker of one semigroup shares one graph
+and one metrics object.
+
+The separator searches avoid trying every edge subset up to the cap,
+which costs E^cap. Minimal edge cutsets are the bonds of the graph,
+enumerated by a DFS over the two-sided splits a BFS spanning tree
+allows, pruned by the number of crossing edges and by whether both sides
+can still be connected. Minimal vertex cutsets are grown vertex by
 vertex and accepted by a local test: every cutset vertex has a neighbour
 in every component left; no set containing a cutset is grown further.
-Both run on bitmask adjacency. The edge search only visits partial
-splits within the cap whose sides can still be joined up, so its cost
-follows the cuts found rather than E^cap.
+The edge search only visits partial splits within the cap whose sides
+can still be joined up, so its cost follows the cuts found rather than
+E^cap.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -33,38 +41,48 @@ VERTEX_CUTSET_CAP = 4
 EDGE_CUTSET_CAP = 4
 
 
+def _positions(mask: int):
+    """The positions whose bits are set in mask, ascending."""
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        yield low.bit_length() - 1
+
+
 class Graph:
     """Immutable undirected simple graph on semigroup element ids.
 
-    ``vertices`` is the sorted tuple of element ids; ``adjacency`` is the
-    symmetric boolean matrix in vertex order (no loops). Algorithms work
-    on positions 0..n-1 into ``vertices``.
+    ``vertices`` is the sorted tuple of element ids. Algorithms work on
+    positions 0..n-1 into ``vertices``; bit j of ``_mask[i]`` is set iff
+    positions i and j are adjacent (no loops).
     """
 
     def __init__(self, vertices, edges, labels=None):
         vs = tuple(sorted(set(vertices)))
+        pos = {v: i for i, v in enumerate(vs)}
+        masks = [0] * len(vs)
+        for (u, v) in edges:
+            if u == v:
+                raise ValueError("loops are not allowed: %r" % ((u, v),))
+            if u not in pos or v not in pos:
+                raise UnknownVertexError("edge %r leaves the vertex set" % ((u, v),))
+            i, j = pos[u], pos[v]
+            masks[i] |= 1 << j
+            masks[j] |= 1 << i
         self.vertices = vs
-        self._pos = {v: i for i, v in enumerate(vs)}
-        n = len(vs)
+        self._pos = pos
         if labels is None:
             self.labels = tuple(str(v) for v in vs)
         else:
             self.labels = tuple(str(labels[v]) for v in vs)
-        adj = [[False] * n for _ in range(n)]
-        for (u, v) in edges:
-            if u == v:
-                raise ValueError("loops are not allowed: %r" % ((u, v),))
-            if u not in self._pos or v not in self._pos:
-                raise UnknownVertexError("edge %r leaves the vertex set" % ((u, v),))
-            i, j = self._pos[u], self._pos[v]
-            adj[i][j] = adj[j][i] = True
-        self.adjacency = tuple(tuple(row) for row in adj)
-        self._nbr = tuple(
-            frozenset(j for j in range(n) if adj[i][j]) for i in range(n)
-        )
-        self._mask = tuple(
-            sum(1 << j for j in range(n) if adj[i][j]) for i in range(n)
-        )
+        self._mask = tuple(masks)
+
+    def _with_masks(self, masks) -> "Graph":
+        """The same vertices and labels over other adjacency masks."""
+        g = object.__new__(Graph)
+        g.vertices, g._pos, g.labels = self.vertices, self._pos, self.labels
+        g._mask = tuple(masks)
+        return g
 
     # -- structure ---------------------------------------------------------
 
@@ -82,25 +100,25 @@ class Graph:
 
     def edges(self) -> tuple[tuple[int, int], ...]:
         """Edges as sorted (u, v) element pairs, lexicographically ordered."""
-        out = []
-        for i in range(self.n):
-            for j in range(i + 1, self.n):
-                if self.adjacency[i][j]:
-                    out.append((self.vertices[i], self.vertices[j]))
-        return tuple(out)
+        vs = self.vertices
+        return tuple(
+            (vs[i], vs[j])
+            for i, m in enumerate(self._mask)
+            for j in _positions(m >> i + 1 << i + 1)
+        )
 
     @property
     def edge_count(self) -> int:
-        return sum(len(s) for s in self._nbr) // 2
+        return sum(m.bit_count() for m in self._mask) // 2
 
     def has_edge(self, u: int, v: int) -> bool:
-        return self.position(v) in self._nbr[self.position(u)]
+        return bool(self._mask[self.position(u)] >> self.position(v) & 1)
 
     def neighbors(self, v: int) -> tuple[int, ...]:
-        return tuple(self.vertices[j] for j in sorted(self._nbr[self.position(v)]))
+        return tuple(self.vertices[j] for j in _positions(self._mask[self.position(v)]))
 
     def degree(self, v: int) -> int:
-        return len(self._nbr[self.position(v)])
+        return self._mask[self.position(v)].bit_count()
 
     def induced(self, t) -> "Graph":
         """Induced subgraph on the element subset t, mapping inherited."""
@@ -114,43 +132,12 @@ class Graph:
         return Graph(keep, es, label_map)
 
     def complement(self) -> "Graph":
-        label_map = {v: self.labels[i] for i, v in enumerate(self.vertices)}
-        es = []
-        for i in range(self.n):
-            for j in range(i + 1, self.n):
-                if not self.adjacency[i][j]:
-                    es.append((self.vertices[i], self.vertices[j]))
-        return Graph(self.vertices, es, label_map)
-
-    # -- connectivity --------------------------------------------------------
-
-    def _components_positions(self, removed=frozenset()) -> list[frozenset[int]]:
-        todo = set(range(self.n)) - set(removed)
-        comps = []
-        while todo:
-            start = min(todo)
-            seen = {start}
-            queue = deque([start])
-            while queue:
-                u = queue.popleft()
-                for w in self._nbr[u]:
-                    if w in todo and w not in seen:
-                        seen.add(w)
-                        queue.append(w)
-            todo -= seen
-            comps.append(frozenset(seen))
-        comps.sort(key=min)
-        return comps
-
-    def components(self) -> tuple[frozenset[int], ...]:
-        """Connected components, as element sets sorted by least element."""
-        return tuple(
-            frozenset(self.vertices[i] for i in comp)
-            for comp in self._components_positions()
+        full = (1 << self.n) - 1
+        return self._with_masks(
+            full & ~m & ~(1 << i) for i, m in enumerate(self._mask)
         )
 
-    def is_connected(self) -> bool:
-        return self.n <= 1 or len(self._components_positions()) == 1
+    # -- the BFS core --------------------------------------------------------
 
     @cached_property
     def _union_tables(self) -> tuple[tuple[int, ...], ...]:
@@ -158,22 +145,25 @@ class Graph:
         # neighbour masks of the positions whose bits are set in m
         tables = []
         for base in range(0, self.n, 8):
-            tab = [0] * (1 << min(8, self.n - base))
-            for m in range(1, len(tab)):
-                low = m & -m
-                tab[m] = tab[m ^ low] | self._mask[base + low.bit_length() - 1]
+            tab = [0]
+            for mask in self._mask[base:base + 8]:
+                tab += [t | mask for t in tab]
             tables.append(tuple(tab))
         return tuple(tables)
 
-    def _reach(self, seeds: int, allowed: int) -> int:
+    def _reach(self, seeds: int, allowed: int, layers: list | None = None) -> int:
         """Positions reachable from the mask seeds inside the mask allowed.
 
         BFS a whole layer at a time: the neighbours of the frontier come
-        from one table lookup per byte of it.
+        from one table lookup per byte of it. If layers is a list, the
+        mask of each layer (distance 0, 1, ... from the seeds) is
+        appended to it.
         """
         tables = self._union_tables
         seen = frontier = seeds & allowed
         while frontier:
+            if layers is not None:
+                layers.append(frontier)
             nbrs = 0
             for tab in tables:
                 nbrs |= tab[frontier & 255]
@@ -182,57 +172,148 @@ class Graph:
             seen |= frontier
         return seen
 
+    def _split(self, allowed: int) -> list[int]:
+        """Connected components inside the position mask allowed, as
+        masks ordered by least position."""
+        comps = []
+        while allowed:
+            comp = self._reach(allowed & -allowed, allowed)
+            comps.append(comp)
+            allowed &= ~comp
+        return comps
+
+    @cached_property
+    def _components(self) -> tuple[int, ...]:
+        return tuple(self._split((1 << self.n) - 1))
+
+    @cached_property
+    def _bfs_layers(self) -> tuple[tuple[int, ...], ...]:
+        """For each position i, the masks of the positions at distance
+        0, 1, 2, ... from i."""
+        full = (1 << self.n) - 1
+        out = []
+        for i in range(self.n):
+            layers: list[int] = []
+            self._reach(1 << i, full, layers)
+            out.append(tuple(layers))
+        return tuple(out)
+
+    # -- connectivity --------------------------------------------------------
+
+    def components(self) -> tuple[frozenset[int], ...]:
+        """Connected components, as element sets sorted by least element."""
+        vs = self.vertices
+        return tuple(frozenset(vs[i] for i in _positions(c)) for c in self._components)
+
+    def is_connected(self) -> bool:
+        return len(self._components) <= 1
+
     def is_bipartite(self) -> bool:
-        """True iff there is no odd cycle (BFS 2-coloring)."""
-        color = [-1] * self.n
-        for start in range(self.n):
-            if color[start] >= 0:
-                continue
-            color[start] = 0
-            queue = deque([start])
-            while queue:
-                u = queue.popleft()
-                for w in self._nbr[u]:
-                    if color[w] < 0:
-                        color[w] = color[u] ^ 1
-                        queue.append(w)
-                    elif color[w] == color[u]:
-                        return False
+        """True iff there is no odd cycle: no edge inside a BFS layer."""
+        masks = self._mask
+        for comp in self._components:
+            layers: list[int] = []
+            self._reach(comp & -comp, comp, layers)
+            for layer in layers:
+                if any(masks[v] & layer for v in _positions(layer)):
+                    return False
         return True
+
+    # -- derived values, each computed once ------------------------------------
+
+    @cached_property
+    def _girth(self) -> float:
+        """Length of a shortest cycle, or INF for a forest.
+
+        From a root, an edge inside BFS layer d closes an odd walk of
+        length 2d+1, and a vertex of layer d+1 with two neighbours in
+        layer d closes a walk of length 2d+2; each walk contains a cycle
+        no longer than itself. From a root on a shortest cycle the first
+        such witness has exactly the cycle's length, so the minimum over
+        all roots is exact.
+        """
+        masks = self._mask
+        best = INF
+        for layers in self._bfs_layers:
+            for d, layer in enumerate(layers):
+                if 2 * d + 1 >= best:
+                    break
+                if any(masks[v] & layer for v in _positions(layer)):
+                    best = 2 * d + 1
+                    break
+                if d + 1 < len(layers) and any(
+                    (masks[v] & layer).bit_count() > 1
+                    for v in _positions(layers[d + 1])
+                ):
+                    best = 2 * d + 2
+                    break
+        return best
+
+    @cached_property
+    def _metrics(self) -> "GraphMetrics":
+        n = self.n
+        dist = []
+        for layers in self._bfs_layers:
+            row = [INF] * n
+            for d, layer in enumerate(layers):
+                for j in _positions(layer):
+                    row[j] = d
+            dist.append(tuple(row))
+        comps = self._components
+        # BFS from i stops at the edge of its component, so the layer
+        # count gives i's eccentricity within that component
+        comp_ecc = [len(layers) - 1 for layers in self._bfs_layers]
+        if len(comps) > 1:
+            ecc = (INF,) * n
+            radius = diameter = INF
+            dsum = (INF,) * n
+        else:
+            ecc = tuple(comp_ecc)
+            radius = min(ecc, default=0)
+            diameter = max(ecc, default=0)
+            dsum = tuple(sum(row) for row in dist)
+        comp_r = []
+        comp_d = []
+        for comp in comps:
+            eccs = [comp_ecc[i] for i in _positions(comp)]
+            comp_r.append(min(eccs))
+            comp_d.append(max(eccs))
+        return GraphMetrics(
+            dist=tuple(dist),
+            ecc=ecc,
+            radius=radius,
+            diameter=diameter,
+            girth=self._girth,
+            distance_sum=dsum,
+            components=self.components(),
+            component_radii=tuple(comp_r),
+            component_diameters=tuple(comp_d),
+        )
+
+    @cached_property
+    def _clique(self) -> tuple[int, tuple[int, ...]]:
+        best = _max_clique_positions(self)
+        return len(best), tuple(sorted(self.vertices[i] for i in best))
 
 
 # -- construction from a semigroup -----------------------------------------
 
 
 def gamma(s) -> Graph:
-    """Zero-divisor graph: vertices Z(S)*, edge {x,y} iff xy = 0."""
-    verts = s.nonzero_zero_divisors().sorted_members
-    labels = {v: s.label(v) for v in verts}
-    edges = []
-    for a in range(len(verts)):
-        x = verts[a]
-        for b in range(a + 1, len(verts)):
-            y = verts[b]
-            if s.product(x, y) == 0:
-                edges.append((x, y))
-    return Graph(verts, edges, labels)
+    """Zero-divisor graph: vertices Z(S)*, edge {x,y} iff xy = 0.
+
+    Built once per semigroup; every call returns the same Graph.
+    """
+    return s._gamma
 
 
 def gamma_bar(s) -> Graph:
     """Extended graph: edge {x,y} iff xsy = 0 for every s in S.
 
-    Contains gamma(S): xy = 0 forces xsy = (xy)s = 0 for all s.
+    Contains gamma(S): xy = 0 forces xsy = (xy)s = 0 for all s. Built
+    once per semigroup, like gamma.
     """
-    verts = s.nonzero_zero_divisors().sorted_members
-    labels = {v: s.label(v) for v in verts}
-    edges = []
-    for a in range(len(verts)):
-        x = verts[a]
-        for b in range(a + 1, len(verts)):
-            y = verts[b]
-            if all(s.product(s.product(x, r), y) == 0 for r in s.elements):
-                edges.append((x, y))
-    return Graph(verts, edges, labels)
+    return s._gamma_bar
 
 
 # -- metrics -----------------------------------------------------------------
@@ -261,76 +342,14 @@ class GraphMetrics:
         return len(self.components) <= 1
 
 
-def _bfs_dist(g: Graph, start: int) -> list:
-    dist = [INF] * g.n
-    dist[start] = 0
-    queue = deque([start])
-    while queue:
-        u = queue.popleft()
-        for w in g._nbr[u]:
-            if dist[w] == INF:
-                dist[w] = dist[u] + 1
-                queue.append(w)
-    return dist
-
-
 def girth(g: Graph) -> float:
-    """Length of a shortest cycle, or math.inf for a forest.
-
-    BFS from every root; a non-tree edge at (u, w) witnesses a closed
-    walk of length d(u)+d(w)+1, and the minimum over all roots is exact.
-    """
-    best = INF
-    for root in range(g.n):
-        dist = [-1] * g.n
-        parent = [-1] * g.n
-        dist[root] = 0
-        queue = deque([root])
-        while queue:
-            u = queue.popleft()
-            for w in g._nbr[u]:
-                if dist[w] < 0:
-                    dist[w] = dist[u] + 1
-                    parent[w] = u
-                    queue.append(w)
-                elif parent[u] != w:
-                    cand = dist[u] + dist[w] + 1
-                    if cand < best:
-                        best = cand
-    return best
+    """Length of a shortest cycle, or math.inf for a forest."""
+    return g._girth
 
 
 def metrics(g: Graph) -> GraphMetrics:
-    comps_pos = g._components_positions()
-    dist = tuple(tuple(_bfs_dist(g, i)) for i in range(g.n))
-    ecc = tuple(max(row) if row else 0 for row in dist)
-    if g.n == 0:
-        radius = diameter = 0
-    elif len(comps_pos) > 1:
-        radius = diameter = INF
-    else:
-        radius = min(ecc)
-        diameter = max(ecc)
-    dsum = tuple(sum(row) for row in dist)
-    comp_r = []
-    comp_d = []
-    for comp in comps_pos:
-        eccs = [max(dist[i][j] for j in comp) for i in comp]
-        comp_r.append(min(eccs))
-        comp_d.append(max(eccs))
-    return GraphMetrics(
-        dist=dist,
-        ecc=ecc,
-        radius=radius,
-        diameter=diameter,
-        girth=girth(g),
-        distance_sum=dsum,
-        components=tuple(
-            frozenset(g.vertices[i] for i in comp) for comp in comps_pos
-        ),
-        component_radii=tuple(comp_r),
-        component_diameters=tuple(comp_d),
-    )
+    """Distances, eccentricities, girth and components, computed once per graph."""
+    return g._metrics
 
 
 def _require_connected(g: Graph) -> None:
@@ -341,8 +360,6 @@ def _require_connected(g: Graph) -> None:
 def center(g: Graph) -> frozenset[int]:
     """Vertices of minimum eccentricity (connected graphs only)."""
     _require_connected(g)
-    if g.n == 0:
-        return frozenset()
     m = metrics(g)
     return frozenset(
         g.vertices[i] for i in range(g.n) if m.ecc[i] == m.radius
@@ -352,10 +369,8 @@ def center(g: Graph) -> frozenset[int]:
 def median(g: Graph) -> frozenset[int]:
     """Vertices minimizing the total distance d(v) (connected graphs only)."""
     _require_connected(g)
-    if g.n == 0:
-        return frozenset()
     m = metrics(g)
-    best = min(m.distance_sum)
+    best = min(m.distance_sum, default=0)
     return frozenset(
         g.vertices[i] for i in range(g.n) if m.distance_sum[i] == best
     )
@@ -365,77 +380,29 @@ def median(g: Graph) -> frozenset[int]:
 
 
 def cut_vertices(g: Graph) -> frozenset[int]:
-    """Articulation points of a connected graph (DFS lowpoints)."""
+    """Articulation points of a connected graph: v with G-v disconnected."""
     _require_connected(g)
-    n = g.n
-    if n < 3:
-        return frozenset()
-    disc = [-1] * n
-    low = [0] * n
-    out = set()
-    timer = itertools.count()
-
-    def dfs(u, parent):
-        disc[u] = low[u] = next(timer)
-        children = 0
-        for w in sorted(g._nbr[u]):
-            if disc[w] < 0:
-                children += 1
-                dfs(w, u)
-                low[u] = min(low[u], low[w])
-                if parent >= 0 and low[w] >= disc[u]:
-                    out.add(u)
-            elif w != parent:
-                low[u] = min(low[u], disc[w])
-        if parent < 0 and children > 1:
-            out.add(u)
-
-    dfs(0, -1)
-    return frozenset(g.vertices[i] for i in out)
+    full = (1 << g.n) - 1
+    return frozenset(
+        g.vertices[v] for v in range(g.n) if len(g._split(full & ~(1 << v))) > 1
+    )
 
 
 def bridges(g: Graph) -> tuple[tuple[int, int], ...]:
-    """Bridge edges of a connected graph, as sorted element pairs."""
+    """Bridge edges of a connected graph, as sorted element pairs.
+
+    Edge ij lies on a cycle iff j is reachable from the other neighbours
+    of i without passing through i.
+    """
     _require_connected(g)
-    n = g.n
-    disc = [-1] * n
-    low = [0] * n
-    out = []
-    timer = itertools.count()
-
-    def dfs(u, parent):
-        disc[u] = low[u] = next(timer)
-        for w in sorted(g._nbr[u]):
-            if disc[w] < 0:
-                dfs(w, u)
-                low[u] = min(low[u], low[w])
-                if low[w] > disc[u]:
-                    a, b = g.vertices[u], g.vertices[w]
-                    out.append((a, b) if a < b else (b, a))
-            elif w != parent:
-                low[u] = min(low[u], disc[w])
-
-    if n:
-        dfs(0, -1)
-    return tuple(sorted(out))
-
-
-def _positions(mask: int):
-    """The positions whose bits are set in mask, ascending."""
-    while mask:
-        low = mask & -mask
-        mask ^= low
-        yield low.bit_length() - 1
-
-
-def _components_within(g: Graph, allowed: int) -> list[int]:
-    """Connected components of g restricted to the position mask allowed."""
-    comps = []
-    while allowed:
-        comp = g._reach(allowed & -allowed, allowed)
-        comps.append(comp)
-        allowed &= ~comp
-    return comps
+    full = (1 << g.n) - 1
+    vs = g.vertices
+    return tuple(
+        (vs[i], vs[j])
+        for i, m in enumerate(g._mask)
+        for j in _positions(m >> i + 1 << i + 1)
+        if not g._reach(m & ~(1 << j), full & ~(1 << i)) >> j & 1
+    )
 
 
 def minimal_vertex_cutsets(g: Graph, size_cap: int = VERTEX_CUTSET_CAP) -> tuple[frozenset[int], ...]:
@@ -464,7 +431,7 @@ def minimal_vertex_cutsets(g: Graph, size_cap: int = VERTEX_CUTSET_CAP) -> tuple
         for v in range(nxt, n):
             cand = t + (v,)
             left = rest & ~(1 << v)
-            comps = _components_within(g, left)
+            comps = g._split(left)
             if len(comps) > 1:
                 if all(masks[i] & comp for i in cand for comp in comps):
                     found.append(cand)
@@ -476,27 +443,14 @@ def minimal_vertex_cutsets(g: Graph, size_cap: int = VERTEX_CUTSET_CAP) -> tuple
 
 
 def components_without_edges(g: Graph, removed_edges) -> list[frozenset[int]]:
-    removed = set()
+    """Components of g minus the given edges, as position sets ordered by
+    least position."""
+    masks = list(g._mask)
     for (u, v) in removed_edges:
         i, j = g.position(u), g.position(v)
-        removed.add((i, j))
-        removed.add((j, i))
-    todo = set(range(g.n))
-    comps = []
-    while todo:
-        start = min(todo)
-        seen = {start}
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
-            for w in g._nbr[u]:
-                if w not in seen and (u, w) not in removed:
-                    seen.add(w)
-                    queue.append(w)
-        todo -= seen
-        comps.append(frozenset(seen))
-    comps.sort(key=min)
-    return comps
+        masks[i] &= ~(1 << j)
+        masks[j] &= ~(1 << i)
+    return [frozenset(_positions(c)) for c in g._with_masks(masks)._split((1 << g.n) - 1)]
 
 
 def minimal_edge_cutsets(g: Graph, size_cap: int = EDGE_CUTSET_CAP) -> tuple[tuple[tuple[int, int], ...], ...]:
@@ -521,12 +475,7 @@ def minimal_edge_cutsets(g: Graph, size_cap: int = EDGE_CUTSET_CAP) -> tuple[tup
     if n < 2:
         raise TooFewVerticesError("edge cutsets need at least 2 vertices")
     masks = g._mask
-    order = [0]
-    reached = 1
-    for u in order:
-        fresh = masks[u] & ~reached
-        reached |= fresh
-        order.extend(_positions(fresh))
+    order = [v for layer in g._bfs_layers[0] for v in _positions(layer)]
     # placed[k]: the first k vertices of order; earlier[k]: the
     # neighbours of order[k] among them
     placed = [0]
@@ -602,14 +551,12 @@ def _greedy_color_order(g: Graph, cand_mask: int) -> tuple[list[int], list[int]]
     return order, colors
 
 
-def _max_clique_positions(g: Graph, stop_at: int | None = None) -> list[int]:
+def _max_clique_positions(g: Graph) -> list[int]:
     """Exact maximum clique by branch and bound with a coloring bound."""
     best: list[int] = []
 
     def expand(current: list[int], cand_mask: int):
         nonlocal best
-        if stop_at is not None and len(best) >= stop_at:
-            return
         if not cand_mask:
             if len(current) > len(best):
                 best = list(current)
@@ -623,8 +570,6 @@ def _max_clique_positions(g: Graph, stop_at: int | None = None) -> list[int]:
             expand(current, cand_mask & g._mask[v])
             current.pop()
             cand_mask &= ~(1 << v)
-            if stop_at is not None and len(best) >= stop_at:
-                return
 
     if g.n:
         expand([], (1 << g.n) - 1)
@@ -632,20 +577,15 @@ def _max_clique_positions(g: Graph, stop_at: int | None = None) -> list[int]:
 
 
 def clique_number(g: Graph) -> tuple[int, tuple[int, ...]]:
-    """Exact clique number with a sorted witness clique."""
-    if g.n == 0:
-        return 0, ()
-    best = _max_clique_positions(g)
-    return len(best), tuple(sorted(g.vertices[i] for i in best))
+    """Exact clique number with a sorted witness clique, computed once per graph."""
+    return g._clique
 
 
 def has_clique_of_size(g: Graph, k: int) -> bool:
     """True iff the graph contains a clique on k vertices (k >= 1)."""
     if k < 1:
         raise ValueError("k must be at least 1, got %r" % (k,))
-    if k > g.n:
-        return False
-    return len(_max_clique_positions(g, stop_at=k)) >= k
+    return clique_number(g)[0] >= k
 
 
 def _normalize_coloring(colors: list[int]) -> tuple[int, ...]:
@@ -662,7 +602,7 @@ def _normalize_coloring(colors: list[int]) -> tuple[int, ...]:
 def _greedy_coloring(g: Graph, order: list[int]) -> list[int]:
     colors = [-1] * g.n
     for v in order:
-        used = {colors[w] for w in g._nbr[v] if colors[w] >= 0}
+        used = {colors[w] for w in _positions(g._mask[v]) if colors[w] >= 0}
         c = 0
         while c in used:
             c += 1
@@ -677,7 +617,7 @@ def _try_k_coloring(g: Graph, k: int, order: list[int]) -> list[int] | None:
         if idx == len(order):
             return True
         v = order[idx]
-        banned = {colors[w] for w in g._nbr[v] if colors[w] >= 0}
+        banned = {colors[w] for w in _positions(g._mask[v]) if colors[w] >= 0}
         # allowing at most one fresh color kills color-permutation symmetry
         for c in range(min(used + 1, k)):
             if c in banned:
@@ -699,7 +639,7 @@ def chromatic_number(g: Graph) -> tuple[int, tuple[int, ...]]:
     """
     if g.n == 0:
         return 0, ()
-    order = sorted(range(g.n), key=lambda v: (-len(g._nbr[v]), v))
+    order = sorted(range(g.n), key=lambda v: (-g._mask[v].bit_count(), v))
     lower = clique_number(g)[0]
     greedy = _greedy_coloring(g, order)
     upper = max(greedy) + 1
@@ -728,18 +668,16 @@ class Partition:
 def complete_multipartite_partition(g: Graph) -> Partition | None:
     """Recognize complete multipartite graphs.
 
-    G is complete multipartite iff its complement is a disjoint union of
-    cliques; the complement components are then the parts. Parts come
-    back sorted by size, then least vertex.
+    G is complete multipartite iff "equal or non-adjacent" is an
+    equivalence relation; its classes, each vertex with its
+    non-neighbours, are then the parts. Parts come back sorted by size,
+    then least vertex.
     """
-    comp = g.complement()
-    comps_pos = comp._components_positions()
-    for cp in comps_pos:
-        for i in cp:
-            for j in cp:
-                if i < j and g.adjacency[i][j]:
-                    return None  # an edge inside a would-be part
-    parts = [frozenset(g.vertices[i] for i in cp) for cp in comps_pos]
+    full = (1 << g.n) - 1
+    closed = [full & ~m for m in g._mask]
+    if any(closed[j] != part for part in closed for j in _positions(part)):
+        return None  # an edge inside a would-be part
+    parts = [frozenset(g.vertices[i] for i in _positions(p)) for p in set(closed)]
     parts.sort(key=lambda p: (len(p), min(p)))
     return Partition(parts=tuple(parts))
 
@@ -762,6 +700,6 @@ def adjacency_listing(g: Graph) -> str:
     """One line per vertex: label followed by sorted neighbor labels."""
     lines = []
     for i, v in enumerate(g.vertices):
-        nbrs = " ".join(g.labels[j] for j in sorted(g._nbr[i]))
+        nbrs = " ".join(g.labels[j] for j in _positions(g._mask[i]))
         lines.append("%s: %s" % (g.labels[i], nbrs))
     return "\n".join(lines) + ("\n" if lines else "")

@@ -18,6 +18,7 @@ from .errors import (
     OrderTooLargeError,
     ValidationError,
 )
+from .graph import Graph
 
 # role tags carried by ElementSet
 GENERIC = "generic"
@@ -198,7 +199,13 @@ class Semigroup:
     """A validated commutative semigroup with absorbing zero.
 
     Construct through validate() unless the table is known to be valid.
-    Instances are immutable and safe to share; derived data is cached.
+    Instances are immutable and safe to share; derived data (Γ, Γ̄, the
+    annihilator classes and the associated primes) is computed once, on
+    first use, and kept on the instance.
+
+    The public methods check their arguments. Private twins such as
+    _is_ideal skip that for sets of elements the package built itself,
+    and internal loops read the rows of the table directly.
     """
 
     def __init__(self, table: CayleyTable):
@@ -244,6 +251,29 @@ class Semigroup:
         for x in members:
             self._check_element(x)
         return ElementSet(members, role)
+
+    # -- the zero-divisor graphs -----------------------------------------
+
+    def _graph_on_zero_divisors(self, adjacent) -> Graph:
+        verts = self._zero_divisor_tuple
+        edges = [
+            (x, y) for a, x in enumerate(verts) for y in verts[a + 1:] if adjacent(x, y)
+        ]
+        return Graph(verts, edges, self.labels)
+
+    @cached_property
+    def _gamma(self) -> Graph:
+        """Γ(S): edge {x,y} iff xy = 0; graph.gamma returns this object."""
+        rows = self._rows
+        return self._graph_on_zero_divisors(lambda x, y: rows[x][y] == 0)
+
+    @cached_property
+    def _gamma_bar(self) -> Graph:
+        """Γ̄(S): edge {x,y} iff (xs)y = 0 for every s; row x lists every xs."""
+        rows = self._rows
+        return self._graph_on_zero_divisors(
+            lambda x, y: all(rows[xs][y] == 0 for xs in rows[x])
+        )
 
     # -- zero divisors and nilpotents -----------------------------------
 
@@ -302,14 +332,11 @@ class Semigroup:
 
     def is_ideal(self, t) -> bool:
         """True iff xS is contained in t for every x in t."""
-        members = self._members(t)
-        rows = self._rows
-        for x in members:
-            row = rows[x]
-            for r in range(self.n):
-                if row[r] not in members:
-                    return False
-        return True
+        return self._is_ideal(self._members(t))
+
+    def _is_ideal(self, members) -> bool:
+        # xS is row x of the table
+        return all(members.issuperset(self._rows[x]) for x in members)
 
     def is_prime_ideal(self, p) -> bool:
         """True iff p is an ideal and xSy in p forces x in p or y in p.
@@ -317,8 +344,10 @@ class Semigroup:
         A non-ideal input simply returns False. The quantifier runs over
         all of S, not only over zero divisors.
         """
-        members = self._members(p)
-        if not self.is_ideal(members):
+        return self._is_prime_ideal(self._members(p))
+
+    def _is_prime_ideal(self, members) -> bool:
+        if not self._is_ideal(members):
             return False
         rows = self._rows
         outside = [x for x in range(self.n) if x not in members]
@@ -326,7 +355,7 @@ class Semigroup:
             xr = rows[x]
             for y in outside[i:]:
                 # prime demands some s with xsy outside p
-                if all(rows[xr[s]][y] in members for s in range(self.n)):
+                if all(rows[xs][y] in members for xs in xr):
                     return False
         return True
 
@@ -343,7 +372,7 @@ class Semigroup:
         Every minimal nonzero ideal is principal, so inclusion-minimal
         principal ideals of nonzero elements are exactly the answer.
         """
-        principals = {self.principal_ideal(x).members for x in range(1, self.n)}
+        principals = {frozenset(self._rows[x]) | {x} for x in range(1, self.n)}
         minimal = [
             p for p in principals
             if not any(q < p for q in principals)
@@ -354,14 +383,26 @@ class Semigroup:
     # -- associated primes ------------------------------------------------
 
     @cached_property
-    def _annihilator_witnesses(self) -> tuple[tuple[int, frozenset[int]], ...]:
-        """(x, Ann(x)) for nonzero x, deduplicated keeping the least witness."""
-        seen = {}
+    def _annihilator_classes(self) -> tuple[tuple[frozenset[int], tuple[int, ...]], ...]:
+        """Each distinct Ann(x) of a nonzero x with every x realizing it,
+        ordered by least realizing element."""
+        classes: dict[frozenset[int], list[int]] = {}
         for x in range(1, self.n):
-            ann = self.annihilator(x).members
-            if ann not in seen:
-                seen[ann] = x
-        return tuple(sorted(((w, a) for a, w in seen.items())))
+            ann = frozenset(y for y, xy in enumerate(self._rows[x]) if xy == 0)
+            classes.setdefault(ann, []).append(x)
+        return tuple((ann, tuple(xs)) for ann, xs in classes.items())
+
+    @cached_property
+    def _associated(self) -> tuple[tuple[tuple[int, ElementSet], ...], tuple[tuple[int, ...], ...]]:
+        """associated_primes(), and the nonzero elements realizing each."""
+        found = [
+            (xs, ann) for ann, xs in self._annihilator_classes
+            if self._is_prime_ideal(ann)
+        ]
+        return (
+            tuple((xs[0], ElementSet(ann, PRIME_IDEAL)) for xs, ann in found),
+            tuple(xs for xs, _ in found),
+        )
 
     def associated_primes(self) -> tuple[tuple[int, ElementSet], ...]:
         """All pairs (x, Ann(x)) with x nonzero and Ann(x) a prime ideal.
@@ -369,11 +410,16 @@ class Semigroup:
         Deduplicated by set equality; the least witness is retained and
         the result is ordered by witness.
         """
-        out = []
-        for w, ann in self._annihilator_witnesses:
-            if self.is_prime_ideal(ann):
-                out.append((w, ElementSet(ann, PRIME_IDEAL)))
-        return tuple(out)
+        return self._associated[0]
+
+    @cached_property
+    def _maximal_annihilators(self) -> tuple[tuple[int, ElementSet], ...]:
+        classes = self._annihilator_classes
+        return tuple(
+            (xs[0], ElementSet(ann, PRIME_IDEAL))
+            for ann, xs in classes
+            if not any(ann < other for other, _ in classes)
+        )
 
     def maximal_annihilators(self) -> tuple[tuple[int, ElementSet], ...]:
         """Inclusion-maximal annihilators of nonzero elements.
@@ -381,12 +427,7 @@ class Semigroup:
         These are always prime ideals; the structure checkers re-verify
         that through is_prime_ideal rather than trusting the tag.
         """
-        pairs = self._annihilator_witnesses
-        out = []
-        for w, ann in pairs:
-            if not any(ann < other for _, other in pairs):
-                out.append((w, ElementSet(ann, PRIME_IDEAL)))
-        return tuple(out)
+        return self._maximal_annihilators
 
     # -- zero as an intersection of primes ---------------------------------
 
@@ -403,7 +444,7 @@ class Semigroup:
         for k in range(0, self.n):
             for combo in itertools.combinations(nonzero, k):
                 cand = frozenset((0,) + combo)
-                if self.is_prime_ideal(cand):
+                if self._is_prime_ideal(cand):
                     found.append(cand)
         found.sort(key=sorted)
         return tuple(ElementSet(p, PRIME_IDEAL) for p in found)

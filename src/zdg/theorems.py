@@ -84,8 +84,8 @@ def _composite(theorem_id, clauses, witness=None, notes=""):
 
 
 def _orbit(s, x) -> set[int]:
-    """Sx = {rx : r in S}."""
-    return {s.product(r, x) for r in s.elements}
+    """Sx = {rx : r in S}, the entries of row x (S is commutative)."""
+    return set(s._rows[x])
 
 
 # -- nilpotent subgraph -------------------------------------------------------
@@ -127,12 +127,12 @@ def check_median_center_ideals(s) -> Verdict:
     cen = sorted(center(g))
     return _composite("median-center", [
         _v(
-            "thm-2.2-median", True, s.is_ideal(set(med) | {0}),
+            "thm-2.2-median", True, s._is_ideal(set(med) | {0}),
             {"median": med},
             "median vertices with 0 form an ideal",
         ),
         _v(
-            "thm-2.4-center", True, s.is_ideal(set(cen) | {0}),
+            "thm-2.4-center", True, s._is_ideal(set(cen) | {0}),
             {"center": cen},
             "center vertices with 0 form an ideal",
         ),
@@ -154,7 +154,7 @@ def check_cut_structures(s, size_cap: int = DEFAULT_SIZE_CAP) -> Verdict:
         recs = []
         ok = True
         for x in cvs:
-            ideal_ok = s.is_ideal({0, x})
+            ideal_ok = s._is_ideal({0, x})
             adj_all = all(g.has_edge(x, y) for y in g.vertices if y != x)
             in_sx = x in _orbit(s, x)
             recs.append({
@@ -179,7 +179,7 @@ def check_cut_structures(s, size_cap: int = DEFAULT_SIZE_CAP) -> Verdict:
         recs = []
         ok = True
         for t in vcs:
-            ideal_ok = s.is_ideal(set(t) | {0})
+            ideal_ok = s._is_ideal(set(t) | {0})
             recs.append({"cutset": sorted(t), "ideal": ideal_ok})
             ok = ok and ideal_ok
         clauses.append(_v(
@@ -215,11 +215,11 @@ def check_cut_structures(s, size_cap: int = DEFAULT_SIZE_CAP) -> Verdict:
                     }
                     bad = {x: esc for x, esc in contained.items() if esc}
                     rec["orbit_escapes"] = bad
-                    rec["literal_side_ideal"] = s.is_ideal(set(crossing) | {0})
+                    rec["literal_side_ideal"] = s._is_ideal(set(crossing) | {0})
                     cut_ok = cut_ok and not bad
                 side_recs.append(rec)
             both_big = all(len(c) >= 2 for c in comps)
-            full_ideal = s.is_ideal(vt_full)
+            full_ideal = s._is_ideal(vt_full)
             if both_big:
                 cut_ok = cut_ok and full_ideal
             recs.append({
@@ -272,7 +272,7 @@ def check_bridge(s) -> Verdict:
             })
             two_ok = two_ok and ok
         else:
-            literal = s.is_ideal({0, x, y})
+            literal = s._is_ideal({0, x, y})
             for w, z in ((x, y), (y, x)):
                 if sizes[w] != 1:
                     continue
@@ -309,17 +309,6 @@ def check_bridge(s) -> Verdict:
 # -- annihilators and associated primes ----------------------------------------
 
 
-def _associated_prime_witnesses(s):
-    """Each associated prime with every nonzero element realizing it."""
-    primes = [es.members for _, es in s.associated_primes()]
-    witnesses = []
-    for p in primes:
-        witnesses.append(
-            sorted(x for x in range(1, s.n) if s.annihilator(x).members == p)
-        )
-    return primes, witnesses
-
-
 def check_ass_properties(s) -> Verdict:
     """Maximal annihilators are prime; associated primes shape the graph."""
     clauses = []
@@ -333,7 +322,7 @@ def check_ass_properties(s) -> Verdict:
     else:
         recs = [
             {"witness": w, "annihilator": sorted(a.members),
-             "prime": s.is_prime_ideal(a.members)}
+             "prime": s._is_prime_ideal(a.members)}
             for w, a in maxanns
         ]
         clauses.append(_v(
@@ -343,11 +332,11 @@ def check_ass_properties(s) -> Verdict:
             "every inclusion-maximal annihilator of a nonzero element is prime",
         ))
 
-    primes, witnesses = _associated_prime_witnesses(s)
-    k = len(primes)
+    pairs, witnesses = s._associated
+    k = len(pairs)
     ass_witness = {
-        "associated_primes": [sorted(p) for p in primes],
-        "realizing_elements": witnesses,
+        "associated_primes": [sorted(es.members) for _, es in pairs],
+        "realizing_elements": [list(xs) for xs in witnesses],
     }
 
     if k < 2:
@@ -361,7 +350,7 @@ def check_ass_properties(s) -> Verdict:
             for j in range(i + 1, k):
                 for x in witnesses[i]:
                     for y in witnesses[j]:
-                        if s.product(x, y) != 0:
+                        if s._rows[x][y] != 0:
                             violations.append([x, y])
         clauses.append(_v(
             "prop-2.9a-pairwise-products", True, not violations,
@@ -406,8 +395,8 @@ def _partition_conclusions(s, parts, zstar):
     ok = True
     for pv in parts:
         vset = set(pv)
-        ideal_ok = s.is_ideal(vset | {0})
-        prime_ok = s.is_prime_ideal((zstar - vset) | {0})
+        ideal_ok = s._is_ideal(vset | {0})
+        prime_ok = s._is_prime_ideal((zstar - vset) | {0})
         recs.append({
             "part": sorted(vset),
             "part_ideal": ideal_ok,
@@ -424,7 +413,7 @@ def check_rpartite(s) -> Verdict:
     parts = part.parts if part is not None and part.parts else None
     zstar = set(g.vertices)
     reduced = s.is_reduced()
-    squares_nonzero = all(s.product(x, x) != 0 for x in range(1, s.n))
+    squares_nonzero = all(s._rows[x][x] != 0 for x in range(1, s.n))
     part_sizes = sorted(len(p) for p in parts) if parts else None
     clauses = []
 
@@ -505,10 +494,10 @@ def check_rpartite(s) -> Verdict:
     if parts is not None and all(sz >= 2 for sz in part_sizes):
         nil = [x for x in s.nilpotents() if x != 0]
         part_ideals = {
-            tuple(sorted(p)): s.is_ideal(set(p) | {0}) for p in parts
+            tuple(sorted(p)): s._is_ideal(set(p) | {0}) for p in parts
         }
         nil_recs = {
-            x: {"square_zero": s.product(x, x) == 0,
+            x: {"square_zero": s._rows[x][x] == 0,
                 "orbit": sorted(_orbit(s, x))}
             for x in nil
         }

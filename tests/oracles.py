@@ -57,6 +57,46 @@ def brute_girth(g):
     return float("inf")
 
 
+def naive_distances(g, removed_edges=()):
+    """All-pairs distances by position (Floyd-Warshall), math.inf when
+    unreachable, in g minus the given edges."""
+    n = g.n
+    vs = g.vertices
+    gone = {frozenset(e) for e in removed_edges}
+    d = [
+        [
+            0 if i == j
+            else 1 if g.has_edge(vs[i], vs[j]) and frozenset((vs[i], vs[j])) not in gone
+            else math.inf
+            for j in range(n)
+        ]
+        for i in range(n)
+    ]
+    for k in range(n):
+        for i in range(n):
+            for j in range(n):
+                if d[i][k] + d[k][j] < d[i][j]:
+                    d[i][j] = d[i][k] + d[k][j]
+    return d
+
+
+def naive_components(g, removed_edges=()):
+    """Components of g minus the given edges, as position sets ordered by
+    least position: the classes of finite distance."""
+    d = naive_distances(g, removed_edges)
+    comps = {frozenset(j for j in range(g.n) if d[i][j] < math.inf) for i in range(g.n)}
+    return sorted(comps, key=min)
+
+
+def naive_is_bipartite(g) -> bool:
+    """True iff some assignment of two colours to the vertices is proper."""
+    edges = [(g.position(u), g.position(v)) for u, v in g.edges()]
+    return any(
+        all(colors[a] != colors[b] for a, b in edges)
+        for colors in itertools.product((0, 1), repeat=g.n)
+    )
+
+
 def random_graph(rng: random.Random, max_n: int = 8) -> Graph:
     n = rng.randint(0, max_n)
     p = rng.random()
@@ -97,8 +137,13 @@ def naive_zero_tables(n):
             yield tuple(tuple(r) for r in t)
 
 
-def _disconnected_without(g, removed_positions) -> bool:
-    remaining = [i for i in range(g.n) if i not in removed_positions]
+def _neighbor_lists(g):
+    """For each position, the positions of its neighbours."""
+    return [[g.position(w) for w in g.neighbors(v)] for v in g.vertices]
+
+
+def _disconnected_without(nbrs, removed_positions) -> bool:
+    remaining = [i for i in range(len(nbrs)) if i not in removed_positions]
     if len(remaining) < 2:
         return False
     removed = set(removed_positions)
@@ -106,7 +151,7 @@ def _disconnected_without(g, removed_positions) -> bool:
     queue = deque([remaining[0]])
     while queue:
         u = queue.popleft()
-        for w in g._nbr[u]:
+        for w in nbrs[u]:
             if w not in removed and w not in seen:
                 seen.add(w)
                 queue.append(w)
@@ -123,20 +168,21 @@ def brute_minimal_vertex_cutsets(g, size_cap):
         raise DisconnectedError("operation needs a connected graph")
     if g.n < 3:
         raise TooFewVerticesError("vertex cutsets need at least 3 vertices")
+    nbrs = _neighbor_lists(g)
     found = []
     for size in range(1, min(size_cap, g.n - 2) + 1):
         for combo in itertools.combinations(range(g.n), size):
             cand = frozenset(combo)
             if any(prev <= cand for prev in found):
                 continue
-            if _disconnected_without(g, cand):
+            if _disconnected_without(nbrs, cand):
                 found.append(cand)
     out = [frozenset(g.vertices[i] for i in c) for c in found]
     out.sort(key=lambda c: (len(c), sorted(c)))
     return tuple(out)
 
 
-def _components_without_edges(g, removed_edges):
+def _components_without_edges(g, nbrs, removed_edges):
     removed = set()
     for (u, v) in removed_edges:
         i, j = g.position(u), g.position(v)
@@ -150,7 +196,7 @@ def _components_without_edges(g, removed_edges):
         queue = deque([start])
         while queue:
             u = queue.popleft()
-            for w in g._nbr[u]:
+            for w in nbrs[u]:
                 if w not in seen and (u, w) not in removed:
                     seen.add(w)
                     queue.append(w)
@@ -171,6 +217,7 @@ def brute_minimal_edge_cutsets(g, size_cap):
     if g.n < 2:
         raise TooFewVerticesError("edge cutsets need at least 2 vertices")
     all_edges = g.edges()
+    nbrs = _neighbor_lists(g)
     found = []
     found_sets = []
     for size in range(1, min(size_cap, len(all_edges)) + 1):
@@ -178,7 +225,7 @@ def brute_minimal_edge_cutsets(g, size_cap):
             cand = frozenset(combo)
             if any(prev <= cand for prev in found_sets):
                 continue
-            comps = _components_without_edges(g, combo)
+            comps = _components_without_edges(g, nbrs, combo)
             if len(comps) > 1:
                 found.append(tuple(sorted(combo)))
                 found_sets.append(cand)

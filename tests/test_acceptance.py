@@ -6,6 +6,7 @@ pass/fail status per test either way). Budgets are asserted with a
 monotonic clock around the complete piece of work.
 """
 
+import math
 import random
 import subprocess
 import sys
@@ -16,6 +17,7 @@ from zdg import (
     all_clauses,
     audit,
     builtin_example,
+    center,
     chromatic_number,
     clique_number,
     enumerate_semigroups,
@@ -24,19 +26,26 @@ from zdg import (
     group_with_zero,
     has_clique_of_size,
     matches_selector,
+    median,
     metrics,
     orthogonal_union,
     powerset_semigroup,
     run_all,
     validate,
 )
+from zdg.graph import components_without_edges
 from oracles import (
     brute_chromatic_number,
     brute_clique_number,
     brute_girth,
+    naive_components,
+    naive_distances,
+    naive_is_bipartite,
     naive_zero_tables,
     random_graph,
 )
+
+INF = math.inf
 
 
 def test_01_wheel_fixture_reproduction():
@@ -124,6 +133,29 @@ def test_06_two_group_union_is_k22_of_girth_4():
           "parts gives K(2,2) with girth 4")
 
 
+def _check_distances_against_oracle(g):
+    d = naive_distances(g)
+    comps = naive_components(g)
+    m = metrics(g)
+    assert m.dist == tuple(map(tuple, d))
+    assert m.components == tuple(
+        frozenset(g.vertices[i] for i in c) for c in comps
+    )
+    assert g.is_connected() == m.connected == (len(comps) <= 1)
+    if not m.connected:
+        assert m.radius == m.diameter == INF
+        assert set(m.ecc) <= {INF}
+        return
+    ecc = [max(row) for row in d]
+    assert list(m.ecc) == ecc
+    assert (m.radius, m.diameter) == (min(ecc, default=0), max(ecc, default=0))
+    sums = [sum(row) for row in d]
+    assert center(g) == {v for v, e in zip(g.vertices, ecc) if e == m.radius}
+    assert median(g) == {
+        v for v, t in zip(g.vertices, sums) if t == min(sums)
+    }
+
+
 def test_07_oracle_equivalence_for_graph_invariants():
     rng = random.Random(20260819)
     graphs = [random_graph(rng, max_n=8) for _ in range(200)]
@@ -131,12 +163,21 @@ def test_07_oracle_equivalence_for_graph_invariants():
         graphs.extend(
             gamma(s) for s in enumerate_semigroups(EnumerationOptions(order=n))
         )
+    pick = random.Random(7)
     for g in graphs:
         assert chromatic_number(g)[0] == brute_chromatic_number(g)
         assert clique_number(g)[0] == brute_clique_number(g)
         assert girth(g) == brute_girth(g)
-    print("ACCEPTANCE 07 PASS: chi, omega and girth match brute force on "
-          "%d graphs" % len(graphs))
+        assert g.is_bipartite() == naive_is_bipartite(g)
+        _check_distances_against_oracle(g)
+        edges = g.edges()
+        removals = [[e] for e in edges] + [
+            pick.sample(edges, pick.randint(0, len(edges))) for _ in range(2)
+        ]
+        for removed in removals:
+            assert components_without_edges(g, removed) == naive_components(g, removed)
+    print("ACCEPTANCE 07 PASS: chi, omega, girth, distances, components and "
+          "2-colourability match brute force on %d graphs" % len(graphs))
 
 
 def test_08_corpus_audit_is_clean_through_order_five():

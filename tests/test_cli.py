@@ -49,6 +49,19 @@ def test_unknown_example_exits_1(capsys):
     assert "unknown example" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("invariants", "zg:1"),
+    ("example", "null:0"),
+    ("example", "zg:0"),
+    ("example", "ortho:zg1+null3"),
+])
+def test_builtin_parameter_out_of_range_exits_1(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and "order must be at least" in err
+
+
 def test_invariants_of_wheel_fixture(capsys):
     code, out, _ = run_cli(capsys, "invariants", "ex4.5")
     assert code == 0

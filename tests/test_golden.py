@@ -1,0 +1,113 @@
+"""Golden hashes of --format report output, pinned before refactors.
+
+Each digest is the sha256 of the bytes a refactor of the graph, semigroup
+or theorem layers must leave unchanged: the up-to-isomorphism audit
+report of orders 2-5 and the stdout of `zdg check` and `zdg invariants`
+on builtin examples (powerset:5 checked at cutset cap 3 to stay fast).
+"""
+
+import contextlib
+import hashlib
+import io
+
+import pytest
+
+from zdg import EnumerationOptions, audit, report
+from zdg.cli import main
+
+AUDIT_DIGESTS = {
+    2: "154813322dff26c02b74408ca698dacec0fee16df4f8be85ef965b2be564a9d5",
+    3: "f073f9cbae0ea719255fc18386868e0a44eca641b2e3570adfed05cbc1d626e4",
+    4: "c471efeee3516c3a4dec20991f5c054d4f4c38ef19310f0f5e10af92f3bedeeb",
+    5: "e5f05ad4eef16e88e8e717f58cc75c813328e7e2751acb99b1431f03bb599a1d",
+}
+
+COMMAND_DIGESTS = {
+    "check ex3.4 --format report":
+        "a7514d87cf33c9a1845d89a44f33d81255a235d6077077325a352a2f1449353c",
+    "invariants ex3.4 --format report":
+        "b5803a4f0e876a45157cbb642d904f2ebe897f9cca93f4eefbf4edb68f7ae8be",
+    "check ex3.5 --format report":
+        "2d283786f1c2bbd20366b8cc7ce95ca91f727400470543db945871450ddcdfb7",
+    "invariants ex3.5 --format report":
+        "85475d4a35b5b03e71808820b414b5bc0e64aca003165d1290ea9ea68a016d29",
+    "check ex3.8 --format report":
+        "a9a05f77e36eb0e50bbb0c35d27921ed9148a480bb8255e32be02d84b6ea6b99",
+    "invariants ex3.8 --format report":
+        "0b23cf4922e1ea986b348d168aaf1b3809d6c7f398a821773774631f5695a6bd",
+    "check ex4.3 --format report":
+        "0215a353e0bc41ffbfba62b8796c20be125b000365398f5af5111b45f844b2f2",
+    "invariants ex4.3 --format report":
+        "552be0922777f275b76ed09e3c5210320fd6a28680907a04e5be05b22752dacb",
+    "check ex4.5 --format report":
+        "d43fd52a3439417fc9f95d1df7cdd4dfb7739b2a62af0139502bbd8be6b2b4f8",
+    "invariants ex4.5 --format report":
+        "64dedd45c792277f9f2cacd6a2081a56273e315977ba9cddc41c0e11283b536f",
+    "check zg:6 --format report":
+        "1168501e85fc67d3ea69b89ccf49e9329f0808618953175d7ce1918cf340d925",
+    "invariants zg:6 --format report":
+        "99ea5078954d1b4fce364aa594eaf54260d394c6e490f074a6e9650182f5ebe6",
+    "check null:8 --format report":
+        "fa742e4b03f1901402e6d8c0eb897696234774b43f36a3f9d274ea70dbb9ffa5",
+    "invariants null:8 --format report":
+        "29b0eb5a0838f861a8836019833465aea32e31f990a8336a9b039a041d7b06f6",
+    "check null:10 --format report":
+        "a2b46c8600c15151239a029b8caaf4d0800849627b8afbbf93ef7b412046813f",
+    "invariants null:10 --format report":
+        "f8c5c05c512944eb3a0b5763385d9ed3582411da0bc6c22c866442df0bd3d729",
+    "check null:11 --format report":
+        "fe915bf218eee1c036874dc5b0efbfd5b5d9b1c852c3dd4c04bd4166fb8d2567",
+    "invariants null:11 --format report":
+        "08ff2471f756bf3c7f2cec8b2d30718ed4975f14c7323ad744ffe0ed6e7f7b92",
+    "check powerset:4 --format report":
+        "42b873eeb55e8ccca2b7148ff8358bea331cd7f81906be637403c7a05e3603e6",
+    "invariants powerset:4 --format report":
+        "d13dbccfcff1c3d2d6f1a590f4291770169682f7c46d5133f11eaaf8add3f87c",
+    "check ortho:zg3+zg3 --format report":
+        "547bf91486a4df3255168403de705937ed37389d42aeedea60e7637778d97d57",
+    "invariants ortho:zg3+zg3 --format report":
+        "4a1c5294e0a6f7ad39a8a6c44cdaaaa6e0989d331ad8463a41157f92b3169c72",
+    "check ortho:null3+null4 --format report":
+        "dbc5b6920325dfbb3fa9fc1142cc080f8c68d3c4503e4d87f1808c9c20ebf9ea",
+    "invariants ortho:null3+null4 --format report":
+        "edcec79f264c6a1a3558819c22dfc2eb8e4c3869ff9eabf10d913b2b27249630",
+    "check ortho:powerset2+powerset2 --format report":
+        "baba9c65b1124db7078faaf8ba17e8cf065c989da2d0634d3151e612d1b3b6c6",
+    "invariants ortho:powerset2+powerset2 --format report":
+        "414b13d3091cd4c69ecc43446fb070b88763848381368bdc0179c12baf6a6706",
+    "check ortho:powerset2+powerset3 --format report":
+        "8adf55868dbe113df39070d10b9745546dafbc83b7ad61319c5a7f0ba7c5a7ad",
+    "invariants ortho:powerset2+powerset3 --format report":
+        "f126e2ae1ee1723d1e9ae6929d42efad6ca1035b41e5ab295866a82e275b25c5",
+    "check ortho:null4+powerset3 --format report":
+        "df402b1c29097e74bcd66266fab233ec35f7fff06fc0678c132b153b1023326a",
+    "invariants ortho:null4+powerset3 --format report":
+        "917d0950a686286bea0493b363972f8cbc0a8b3b9670103d479bfd1137f287c2",
+    "check ortho:null4+null4+zg3 --format report":
+        "66cef953e546d2c9d58ace97949ffecb0b2df5e6f27a7776603d1aa392008a2b",
+    "invariants ortho:null4+null4+zg3 --format report":
+        "41b76a9b40704c7626acfdc62ac3c8a788877ce7d702e8890e368a3d38e5b68b",
+    "check powerset:5 --format report --cutset-cap 3":
+        "796d14cfdd77ccbf65a0e6f1e7774c352d1306d62e31abb614bf16f92503e747",
+    "invariants powerset:5 --format report":
+        "f60f6b86ba38b5ef3acfb2ad7e4516fafffe111d1756fde3182ec9823fab1981",
+}
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("order", sorted(AUDIT_DIGESTS))
+def test_audit_report_bytes_are_pinned(order):
+    rep = audit(EnumerationOptions(order, up_to_iso=True))
+    assert _sha(report.render(report.audit_block(rep))) == AUDIT_DIGESTS[order]
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_DIGESTS))
+def test_command_report_bytes_are_pinned(command):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(command.split())
+    assert code == 0
+    assert _sha(buf.getvalue()) == COMMAND_DIGESTS[command]

@@ -1,6 +1,8 @@
 """Source rules checked by parsing the package."""
 
 import ast
+import importlib
+import inspect
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "zdg"
@@ -52,3 +54,36 @@ def test_oracles_import_only_containers_and_errors_from_zdg():
                     if alias.name not in allowed
                 ]
     assert found == []
+
+
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+
+def _traced_names() -> dict:
+    tree = ast.parse(TRACER.read_text(encoding="utf-8"), filename=str(TRACER))
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "TRACED" for t in node.targets
+        ):
+            return ast.literal_eval(node.value)
+    raise AssertionError("no TRACED table in %s" % TRACER)
+
+
+def test_traced_benchmark_names_resolve_to_plain_functions():
+    # the benchmark's --trace 1 run wraps each of these by name and needs
+    # a plain function, so a rename or a cached property breaks it
+    traced = _traced_names()
+    assert "graph" in traced and "semigroup" in traced
+    missing = []
+    for mod, names in traced.items():
+        module = importlib.import_module("zdg." + mod)
+        for name in names:
+            owner = module
+            attr = name
+            if "." in name:
+                cls, _, attr = name.partition(".")
+                owner = getattr(module, cls, None)
+            fn = vars(owner).get(attr) if owner is not None else None
+            if not inspect.isfunction(fn):
+                missing.append("%s.%s" % (mod, name))
+    assert missing == []
