@@ -4,13 +4,15 @@ Ids are either fixed names (ex3.4, ex3.5, ex3.8, ex4.5) or parametric:
 ``null:N``, ``powerset:N``, ``zg:N`` (cyclic group of order N-1 with a
 zero adjoined), and ``ortho:p1+p2+...`` gluing parts orthogonally, each
 part a compact token like ``null3``, ``zg3`` or ``powerset2``.
+Parametric ids are limited to order 32, the order of ``powerset:5``; the
+order is worked out from the parameters before any table is built.
 """
 
 from __future__ import annotations
 
 import re
 
-from .errors import UnknownExampleError
+from .errors import OrderTooLargeError, UnknownExampleError
 from .semigroup import (
     CayleyTable,
     Semigroup,
@@ -81,6 +83,8 @@ _FIXED = {
 
 _PART_RE = re.compile(r"^(null|zg|powerset)(\d+)$")
 
+MAX_BUILTIN_ORDER = 32
+
 _PARAMETRIC = {
     "null": null_semigroup,
     "powerset": powerset_semigroup,
@@ -88,21 +92,34 @@ _PARAMETRIC = {
 }
 
 
-def _family_member(family: str, k: int, text: str) -> Semigroup:
-    """The member of a parametric family; a parameter the builder rejects
-    is an unknown example, reported under text."""
-    try:
-        return _PARAMETRIC[family](k)
-    except ValueError as err:
-        raise UnknownExampleError("%s: %s" % (text, err)) from None
+def _build(eid: str, members) -> Semigroup:
+    """One family member, or the 0-orthogonal union of several, each given
+    as (family, parameter digits, name for errors), its order checked
+    before anything is built."""
+    order = 1
+    for family, digits, _ in members:
+        # four or more digits are too many for any order allowed
+        k = int(digits) if len(digits.lstrip("0")) < 4 else MAX_BUILTIN_ORDER + 1
+        order += (1 << k if family == "powerset" else k) - 1
+    if order > MAX_BUILTIN_ORDER:
+        raise OrderTooLargeError(
+            "%s: order above %d, the largest a builtin example may have"
+            % (eid, MAX_BUILTIN_ORDER))
+    built = []
+    for family, digits, text in members:
+        try:
+            built.append(_PARAMETRIC[family](int(digits)))
+        except ValueError as err:
+            raise UnknownExampleError("%s: %s" % (text, err)) from None
+    return built[0] if len(built) == 1 else orthogonal_union(built)
 
 
-def _parse_part(token: str) -> Semigroup:
+def _parse_part(token: str) -> tuple[str, str, str]:
     m = _PART_RE.match(token)
     if not m:
         raise UnknownExampleError(
             "bad part %r; expected e.g. null3, zg3, powerset2" % (token,))
-    return _family_member(m.group(1), int(m.group(2)), "part %r" % (token,))
+    return m.group(1), m.group(2), "part %r" % (token,)
 
 
 def available() -> tuple[str, ...]:
@@ -124,11 +141,11 @@ def builtin_example(example_id: str) -> Semigroup:
             if len(parts) < 2:
                 raise UnknownExampleError(
                     "ortho needs at least two parts, got %r" % (arg,))
-            return orthogonal_union(parts)
+            return _build(eid, parts)
         if family in _PARAMETRIC:
-            if not arg.isdigit():
+            if not arg.isdecimal():
                 raise UnknownExampleError(
                     "%s takes a positive integer, got %r" % (family, arg))
-            return _family_member(family, int(arg), eid)
+            return _build(eid, [(family, arg, eid)])
     raise UnknownExampleError(
         "unknown example %r; available: %s" % (eid, ", ".join(available())))

@@ -22,7 +22,7 @@ from .enumeration import (
     search,
 )
 from .errors import ValidationError, ZdgError
-from .graph import adjacency_listing, gamma, gamma_bar, to_dot
+from .graph import DEFAULT_CUTSET_CAP, adjacency_listing, gamma, gamma_bar, to_dot
 from .report import (
     graph_block,
     invariants_block,
@@ -37,21 +37,18 @@ from .sgt import dumps, loads
 from .theorems import all_clauses, matches_selector, run_all
 
 
-def _read_table(source: str):
-    """Resolve an input argument to a CayleyTable, without validating."""
+def _read_semigroup(source: str) -> Semigroup:
+    """Resolve an input argument to a Semigroup. A file or standard input
+    is validated here; a builtin id comes validated from its builder."""
     if source == "-":
-        return loads(sys.stdin.read())
+        return validate(loads(sys.stdin.read()))
     looks_like_path = (
         source.endswith(".sgt") or os.sep in source or source.startswith(".")
     )
     if looks_like_path or os.path.exists(source):
         with open(source, "r", encoding="utf-8") as fh:
-            return loads(fh.read())
-    return builtin_example(source).table
-
-
-def _read_semigroup(source: str) -> Semigroup:
-    return validate(_read_table(source))
+            return validate(loads(fh.read()))
+    return builtin_example(source)
 
 
 def _int_at_least(low: int):
@@ -75,9 +72,8 @@ def _int_at_least(low: int):
 
 
 def _cmd_validate(args) -> int:
-    table = _read_table(args.input)
     try:
-        s = validate(table)
+        s = _read_semigroup(args.input)
     except ValidationError as err:
         for kind, members, text in err.violations:
             print("%s%r: %s" % (kind, tuple(members), text))
@@ -217,9 +213,10 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument(
         "--cutset-cap",
         type=_int_at_least(1),
-        default=4,
+        default=DEFAULT_CUTSET_CAP,
         metavar="K",
-        help="largest cutset size searched, at least 1 (default 4)",
+        help="largest cutset size searched, at least 1 (default %d)"
+        % DEFAULT_CUTSET_CAP,
     )
     sp.add_argument("--format", choices=("text", "report"), default="text")
     sp.set_defaults(fn=_cmd_check)

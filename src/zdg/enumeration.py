@@ -26,6 +26,7 @@ from dataclasses import dataclass
 
 from .errors import MalformedTableError, OrderTooLargeError, UnknownPredicateError
 from .graph import (
+    DEFAULT_CUTSET_CAP,
     bridges,
     chromatic_number,
     clique_number,
@@ -383,7 +384,7 @@ def _gamma_facts(s: Semigroup) -> Verdict:
     )
 
 
-def audit(opts: EnumerationOptions, size_cap: int = 4, workers: int = 1) -> AuditReport:
+def audit(opts: EnumerationOptions, size_cap: int = DEFAULT_CUTSET_CAP, workers: int = 1) -> AuditReport:
     """Run every structure check across an enumerated corpus."""
     tallies: dict[str, list[int]] = {}
     counterexamples = []

@@ -7,24 +7,22 @@ pruning over asymptotic tricks.
 
 A graph stores its adjacency once, as one bitmask of neighbour positions
 per vertex, and every traversal is the layered bitmask BFS of
-``Graph._reach``: components, distances, girth, 2-colourability,
-components after removing edges and the separator searches. A graph is
-immutable, so what it derives is computed at most once and kept on it:
-components, the BFS layers from every vertex, metrics, girth and the
-clique number. A semigroup likewise builds Γ and Γ̄ once (see
-``Semigroup._gamma``), so every checker of one semigroup shares one graph
-and one metrics object.
+``Graph._reach``: components, distances, girth, 2-colourability and the
+separator searches. A graph is immutable, so what it derives is computed
+at most once and kept on it: components, the BFS layers from every
+vertex, metrics, girth and the clique number. A semigroup likewise
+builds Γ and Γ̄ once (see ``Semigroup._gamma``), so every checker of one
+semigroup shares one graph and one metrics object.
 
 The separator searches avoid trying every edge subset up to the cap,
-which costs E^cap. Minimal edge cutsets are the bonds of the graph,
-enumerated by a DFS over the two-sided splits a BFS spanning tree
-allows, pruned by the number of crossing edges and by whether both sides
-can still be connected. Minimal vertex cutsets are grown vertex by
-vertex and accepted by a local test: every cutset vertex has a neighbour
-in every component left; no set containing a cutset is grown further.
-The edge search only visits partial splits within the cap whose sides
-can still be joined up, so its cost follows the cuts found rather than
-E^cap.
+which costs E^cap. ``bonds`` is the one edge-separator search: a DFS
+over the two-sided splits a BFS spanning tree allows, pruned by the
+number of crossing edges and by whether both sides can still be
+connected, so its cost follows the cuts found. Each cut comes with its
+two sides; ``minimal_edge_cutsets`` is its cuts and ``bridges`` its
+one-edge cuts. Minimal vertex cutsets are grown vertex by vertex and
+accepted by a local test: every cutset vertex has a neighbour in every
+component left; no set containing a cutset is grown further.
 """
 
 from __future__ import annotations
@@ -37,8 +35,7 @@ from .errors import DisconnectedError, TooFewVerticesError, UnknownVertexError
 
 INF = math.inf
 
-VERTEX_CUTSET_CAP = 4
-EDGE_CUTSET_CAP = 4
+DEFAULT_CUTSET_CAP = 4
 
 
 def _positions(mask: int):
@@ -388,24 +385,7 @@ def cut_vertices(g: Graph) -> frozenset[int]:
     )
 
 
-def bridges(g: Graph) -> tuple[tuple[int, int], ...]:
-    """Bridge edges of a connected graph, as sorted element pairs.
-
-    Edge ij lies on a cycle iff j is reachable from the other neighbours
-    of i without passing through i.
-    """
-    _require_connected(g)
-    full = (1 << g.n) - 1
-    vs = g.vertices
-    return tuple(
-        (vs[i], vs[j])
-        for i, m in enumerate(g._mask)
-        for j in _positions(m >> i + 1 << i + 1)
-        if not g._reach(m & ~(1 << j), full & ~(1 << i)) >> j & 1
-    )
-
-
-def minimal_vertex_cutsets(g: Graph, size_cap: int = VERTEX_CUTSET_CAP) -> tuple[frozenset[int], ...]:
+def minimal_vertex_cutsets(g: Graph, size_cap: int = DEFAULT_CUTSET_CAP) -> tuple[frozenset[int], ...]:
     """Inclusion-minimal vertex sets T with G-T disconnected, |T| <= cap.
 
     Grows T one vertex at a time in increasing position order. A T with
@@ -444,7 +424,7 @@ def minimal_vertex_cutsets(g: Graph, size_cap: int = VERTEX_CUTSET_CAP) -> tuple
 
 def components_without_edges(g: Graph, removed_edges) -> list[frozenset[int]]:
     """Components of g minus the given edges, as position sets ordered by
-    least position."""
+    least position. The package itself reads the sides of a cut from bonds."""
     masks = list(g._mask)
     for (u, v) in removed_edges:
         i, j = g.position(u), g.position(v)
@@ -453,13 +433,15 @@ def components_without_edges(g: Graph, removed_edges) -> list[frozenset[int]]:
     return [frozenset(_positions(c)) for c in g._with_masks(masks)._split((1 << g.n) - 1)]
 
 
-def minimal_edge_cutsets(g: Graph, size_cap: int = EDGE_CUTSET_CAP) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """Inclusion-minimal edge sets whose removal disconnects g, |U| <= cap.
+def bonds(g: Graph, size_cap: int = DEFAULT_CUTSET_CAP):
+    """(cut, sides) for each minimal edge cutset of at most size_cap edges.
 
     In a connected graph these are exactly the bonds: the edge sets
     delta(A) running between a vertex set A and its complement, where
-    both sides induce connected subgraphs. Removing one therefore leaves
-    exactly two components.
+    both sides induce connected subgraphs, so removing one leaves exactly
+    two components. cut is the sorted tuple of sorted element pairs,
+    sides the two element sets ordered by least element; pairs come
+    ordered by cut size, then cut.
 
     Fix a BFS spanning tree rooted at position 0. A 2-colouring with the
     root on the near side is determined by which tree edges it cuts, so a
@@ -484,7 +466,8 @@ def minimal_edge_cutsets(g: Graph, size_cap: int = EDGE_CUTSET_CAP) -> tuple[tup
         earlier.append(masks[v] & placed[-1])
         placed.append(placed[-1] | 1 << v)
     full = placed[n]
-    found_masks: list[int] = []
+    vs = g.vertices
+    found = []
     # (vertices placed, far-side mask, edges crossing between them)
     stack = [(1, 0, 0)]
     while stack:
@@ -496,7 +479,14 @@ def minimal_edge_cutsets(g: Graph, size_cap: int = EDGE_CUTSET_CAP) -> tuple[tup
             continue
         if k == n:
             if far:
-                found_masks.append(far)
+                cut = sorted(
+                    (vs[i], vs[j]) if i < j else (vs[j], vs[i])
+                    for i in _positions(far)
+                    for j in _positions(masks[i] & near)
+                )
+                # near holds the root, position 0, and so the least element
+                sides = tuple(frozenset(vs[i] for i in _positions(m)) for m in (near, far))
+                found.append((tuple(cut), sides))
             continue
         v = order[k]
         if_near = crossing + (earlier[k] & far).bit_count()
@@ -505,17 +495,20 @@ def minimal_edge_cutsets(g: Graph, size_cap: int = EDGE_CUTSET_CAP) -> tuple[tup
             stack.append((k + 1, far, if_near))
         if if_far <= size_cap:
             stack.append((k + 1, far | 1 << v, if_far))
-    vs = g.vertices
-    found = []
-    for far in found_masks:
-        cut = [
-            (vs[i], vs[j]) if i < j else (vs[j], vs[i])
-            for i in _positions(far)
-            for j in _positions(masks[i] & ~far)
-        ]
-        found.append(tuple(sorted(cut)))
-    found.sort(key=lambda u: (len(u), u))
+    found.sort(key=lambda bond: (len(bond[0]), bond[0]))
     return tuple(found)
+
+
+def minimal_edge_cutsets(g: Graph, size_cap: int = DEFAULT_CUTSET_CAP) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Inclusion-minimal edge sets whose removal disconnects g, |U| <= cap:
+    the cuts of bonds(g, size_cap)."""
+    return tuple(cut for cut, _ in bonds(g, size_cap))
+
+
+def bridges(g: Graph) -> tuple[tuple[int, int], ...]:
+    """Bridge edges of a connected graph, as sorted element pairs: the
+    edges of its one-edge bonds."""
+    return tuple(cut[0] for cut, _ in bonds(g, 1)) if g.n >= 2 else ()
 
 
 # -- cliques and coloring -----------------------------------------------------

@@ -17,23 +17,20 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .graph import (
-    bridges,
+    DEFAULT_CUTSET_CAP,
+    bonds,
     center,
     chromatic_number,
     clique_number,
     complete_multipartite_partition,
-    components_without_edges,
     cut_vertices,
     gamma,
     girth,
     has_clique_of_size,
     median,
     metrics,
-    minimal_edge_cutsets,
     minimal_vertex_cutsets,
 )
-
-DEFAULT_SIZE_CAP = 4
 
 
 @dataclass(frozen=True)
@@ -142,7 +139,7 @@ def check_median_center_ideals(s) -> Verdict:
 # -- cut vertices and cutsets -------------------------------------------------
 
 
-def check_cut_structures(s, size_cap: int = DEFAULT_SIZE_CAP) -> Verdict:
+def check_cut_structures(s, size_cap: int = DEFAULT_CUTSET_CAP) -> Verdict:
     """Separator structure: cut vertices, vertex cutsets, edge cutsets."""
     g = gamma(s)
     clauses = []
@@ -188,7 +185,7 @@ def check_cut_structures(s, size_cap: int = DEFAULT_SIZE_CAP) -> Verdict:
             "every minimal vertex cutset with 0 forms an ideal",
         ))
 
-    ecs = minimal_edge_cutsets(g, size_cap) if g.n >= 2 and g.edge_count else ()
+    ecs = bonds(g, size_cap) if g.n >= 2 and g.edge_count else ()
     if not ecs:
         clauses.append(_v(
             "cor-2.6-minimal-edge-cutsets", False, True,
@@ -197,19 +194,15 @@ def check_cut_structures(s, size_cap: int = DEFAULT_SIZE_CAP) -> Verdict:
     else:
         recs = []
         ok = True
-        for cut in ecs:
-            comps = [
-                frozenset(g.vertices[i] for i in c)
-                for c in components_without_edges(g, cut)
-            ]
+        for cut, sides in ecs:
             vt = sorted({v for e in cut for v in e})
             vt_full = set(vt) | {0}
             side_recs = []
             cut_ok = True
-            for comp in sorted(comps, key=min):
-                crossing = sorted(set(vt) & comp)
-                rec = {"side": sorted(comp), "endpoints": crossing}
-                if len(comp) >= 2:
+            for side in sides:
+                crossing = sorted(set(vt) & side)
+                rec = {"side": sorted(side), "endpoints": crossing}
+                if len(side) >= 2:
                     contained = {
                         x: sorted(_orbit(s, x) - vt_full) for x in crossing
                     }
@@ -218,7 +211,7 @@ def check_cut_structures(s, size_cap: int = DEFAULT_SIZE_CAP) -> Verdict:
                     rec["literal_side_ideal"] = s._is_ideal(set(crossing) | {0})
                     cut_ok = cut_ok and not bad
                 side_recs.append(rec)
-            both_big = all(len(c) >= 2 for c in comps)
+            both_big = all(len(side) >= 2 for side in sides)
             full_ideal = s._is_ideal(vt_full)
             if both_big:
                 cut_ok = cut_ok and full_ideal
@@ -246,17 +239,13 @@ def check_cut_structures(s, size_cap: int = DEFAULT_SIZE_CAP) -> Verdict:
 def check_bridge(s) -> Verdict:
     """Bridge edges force tiny ideals around their endpoints."""
     g = gamma(s)
-    brs = bridges(g)
     two_recs = []
     leaf_recs = []
     two_ok = True
     leaf_ok = True
     minimal_members = None
-    for (x, y) in brs:
-        comps = components_without_edges(g, [(x, y)])
-        sizes = {
-            v: len(next(c for c in comps if g.position(v) in c)) for v in (x, y)
-        }
+    for ((x, y),), sides in bonds(g, 1) if g.n >= 2 else ():
+        sizes = {v: len(next(c for c in sides if v in c)) for v in (x, y)}
         if sizes[x] >= 2 and sizes[y] >= 2:
             if minimal_members is None:
                 minimal_members = {m.members for m in s.minimal_ideals()}
@@ -429,6 +418,8 @@ def check_rpartite(s) -> Verdict:
         ))
     else:
         witness_parts = [sorted(p) for p in parts]
+        if reduced or squares_nonzero:
+            ok, recs = _partition_conclusions(s, parts, zstar)
         if not reduced:
             clauses.append(_v(
                 "thm-3.1-parts-ideals-primes", False, True,
@@ -436,7 +427,6 @@ def check_rpartite(s) -> Verdict:
                 "semigroup is not reduced",
             ))
         else:
-            ok, recs = _partition_conclusions(s, parts, zstar)
             clauses.append(_v(
                 "thm-3.1-parts-ideals-primes", True, ok, {"parts": recs},
                 "reduced and complete multipartite: each part with 0 is an "
@@ -449,7 +439,6 @@ def check_rpartite(s) -> Verdict:
                 "some nonzero element squares to zero",
             ))
         else:
-            ok, recs = _partition_conclusions(s, parts, zstar)
             clauses.append(_v(
                 "rem-3.2a-weakened-hypothesis", True, ok, {"parts": recs},
                 "nonzero squares stay nonzero: the partition conclusions "
@@ -590,7 +579,7 @@ def check_chromatic(s) -> Verdict:
 # -- aggregation ---------------------------------------------------------------
 
 
-def run_all(s, size_cap: int = DEFAULT_SIZE_CAP) -> tuple[Verdict, ...]:
+def run_all(s, size_cap: int = DEFAULT_CUTSET_CAP) -> tuple[Verdict, ...]:
     """All checks in a fixed order."""
     return (
         check_nilpotent_subgraph(s),

@@ -62,6 +62,66 @@ def test_builtin_parameter_out_of_range_exits_1(capsys, argv):
     assert err.startswith("error: ") and "order must be at least" in err
 
 
+@pytest.mark.parametrize("eid", [
+    "null:100000", "zg:100000", "powerset:6", "ortho:null20+null20",
+    "ortho:powerset9999+null2", "null:" + "9" * 5000,
+])
+def test_builtin_order_above_32_exits_1(capsys, eid):
+    code, out, err = run_cli(capsys, "check", eid)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and "order above 32" in err
+
+
+@pytest.mark.parametrize("eid", ["null:x", "zg:²"])
+def test_builtin_parameter_not_a_number_exits_1(capsys, eid):
+    code, out, err = run_cli(capsys, "example", eid)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and "takes a positive integer" in err
+
+
+@pytest.mark.parametrize("eid", ["null:32", "ortho:null16+null17"])
+def test_builtin_of_order_32_is_accepted(capsys, eid):
+    code, out, _ = run_cli(capsys, "validate", eid)
+    assert code == 0
+    assert "order 32" in out
+
+
+@pytest.fixture
+def validate_calls(monkeypatch):
+    """Every call of validate, wherever the package makes it."""
+    import zdg.catalog
+    import zdg.cli
+    import zdg.semigroup
+
+    calls = []
+    real = zdg.semigroup.validate
+
+    def counting(table, *args, **kwargs):
+        calls.append(table)
+        return real(table, *args, **kwargs)
+
+    for module in (zdg.semigroup, zdg.catalog, zdg.cli):
+        monkeypatch.setattr(module, "validate", counting)
+    return calls
+
+
+@pytest.mark.parametrize("eid", ["null:8", "ex3.4"])
+def test_builtin_is_validated_once(capsys, validate_calls, eid):
+    code, _, _ = run_cli(capsys, "check", eid)
+    assert code == 0
+    assert len(validate_calls) == 1
+
+
+def test_file_input_is_validated_once(tmp_path, capsys, validate_calls):
+    path = tmp_path / "null2.sgt"
+    path.write_text("2\n0 0\n0 0\n")
+    code, _, _ = run_cli(capsys, "check", str(path))
+    assert code == 0
+    assert len(validate_calls) == 1
+
+
 def test_invariants_of_wheel_fixture(capsys):
     code, out, _ = run_cli(capsys, "invariants", "ex4.5")
     assert code == 0

@@ -9,6 +9,8 @@ from zdg import (
     DisconnectedError,
     EnumerationOptions,
     Graph,
+    bonds,
+    bridges,
     builtin_example,
     enumerate_semigroups,
     gamma,
@@ -20,6 +22,7 @@ from zdg.cli import main
 from oracles import (
     brute_minimal_edge_cutsets,
     brute_minimal_vertex_cutsets,
+    naive_components,
     random_graph,
 )
 
@@ -60,8 +63,10 @@ def connected_random_graphs(count):
 
 
 def assert_matches_oracles(graphs):
-    """Compare both searches with the oracles at every cap; returns the
-    number of distinct graphs compared."""
+    """Compare both searches with the oracles at every cap, the bridges
+    with the one-edge cuts and the sides of every bond with the
+    components left by its cut; returns the number of distinct graphs
+    compared."""
     seen = set()
     for g in graphs:
         key = (g.vertices, g.edges())
@@ -78,6 +83,11 @@ def assert_matches_oracles(graphs):
             if g.n >= 3:
                 assert minimal_vertex_cutsets(g, cap) == tuple(
                     t for t in vertex_cuts if len(t) <= cap)
+        assert bridges(g) == tuple(u[0] for u in edge_cuts if len(u) == 1)
+        for cut, sides in bonds(g, max(CAPS)):
+            assert [
+                frozenset(g.position(v) for v in side) for side in sides
+            ] == naive_components(g, cut)
     return len(seen)
 
 

@@ -23,6 +23,27 @@ def test_package_has_no_assert_statements():
     assert found == []
 
 
+GRAPH_INTERNALS = {
+    "_mask", "_reach", "_split", "_union_tables", "_bfs_layers", "_with_masks",
+}
+
+
+def test_only_graph_module_reads_graph_internals():
+    # the bitmask adjacency and the BFS core are graph.py's own; another
+    # module reaching into them would grow a second traversal beside it
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "graph.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [
+            "%s:%d %s" % (path.name, node.lineno, node.attr)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr in GRAPH_INTERNALS
+        ]
+    assert found == []
+
+
 ORACLES = Path(__file__).resolve().parent / "oracles.py"
 # the containers an oracle may build on; everything else in zdg is code
 # under test, and an oracle sharing it would confirm the code by itself
