@@ -429,7 +429,7 @@ def _pred_has_bridge(s, g, arg):
 
 
 def _pred_has_cut_vertex(s, g, arg):
-    return g.n >= 3 and bool(cut_vertices(g))
+    return bool(cut_vertices(g))
 
 
 def _pred_girth(s, g, arg):

@@ -35,7 +35,7 @@ class EmptyPartListError(ZdgError):
 
 
 class OrderTooLargeError(ZdgError):
-    """The requested order exceeds the cap for an exhaustive operation."""
+    """A requested order or size is outside the range an operation supports."""
 
 
 class DisconnectedError(ZdgError):

@@ -22,7 +22,8 @@ connected, so its cost follows the cuts found. Each cut comes with its
 two sides; ``minimal_edge_cutsets`` is its cuts and ``bridges`` its
 one-edge cuts. Minimal vertex cutsets are grown vertex by vertex and
 accepted by a local test: every cutset vertex has a neighbour in every
-component left; no set containing a cutset is grown further.
+component left; no set containing a cutset is grown further. The cut
+vertices are its one-vertex cutsets.
 """
 
 from __future__ import annotations
@@ -377,12 +378,12 @@ def median(g: Graph) -> frozenset[int]:
 
 
 def cut_vertices(g: Graph) -> frozenset[int]:
-    """Articulation points of a connected graph: v with G-v disconnected."""
-    _require_connected(g)
-    full = (1 << g.n) - 1
-    return frozenset(
-        g.vertices[v] for v in range(g.n) if len(g._split(full & ~(1 << v))) > 1
-    )
+    """Articulation points of a connected graph, v with G-v disconnected:
+    the members of its one-vertex cutsets."""
+    if g.n < 3:
+        _require_connected(g)
+        return frozenset()
+    return frozenset(v for t in minimal_vertex_cutsets(g, 1) for v in t)
 
 
 def minimal_vertex_cutsets(g: Graph, size_cap: int = DEFAULT_CUTSET_CAP) -> tuple[frozenset[int], ...]:
@@ -678,13 +679,19 @@ def complete_multipartite_partition(g: Graph) -> Partition | None:
 # -- export -------------------------------------------------------------------
 
 
+def _dot_id(label: str) -> str:
+    """label as a quoted DOT identifier."""
+    return '"%s"' % label.replace("\\", "\\\\").replace('"', '\\"')
+
+
 def to_dot(g: Graph, name: str = "gamma") -> str:
-    """Graph in dot notation; vertex labels are the element names."""
+    """Graph in dot notation; vertex labels are the element names, quoted
+    with their backslashes and double quotes escaped."""
     lines = ["graph %s {" % name]
     for lab in g.labels:
-        lines.append('  "%s";' % lab)
+        lines.append("  %s;" % _dot_id(lab))
     for (u, v) in g.edges():
-        lines.append('  "%s" -- "%s";' % (g.label_of(u), g.label_of(v)))
+        lines.append("  %s -- %s;" % (_dot_id(g.label_of(u)), _dot_id(g.label_of(v))))
     lines.append("}")
     return "\n".join(lines) + "\n"
 

@@ -7,7 +7,6 @@ The multiplication table is the single source of truth; everything else
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -20,16 +19,6 @@ from .errors import (
 )
 from .graph import Graph
 
-# role tags carried by ElementSet
-GENERIC = "generic"
-IDEAL = "ideal"
-PRIME_IDEAL = "prime-ideal"
-ANNIHILATOR = "annihilator"
-ZERO_DIVISORS = "zero-divisors"
-NILPOTENTS = "nilpotents"
-PART = "part"
-
-EXHAUSTIVE_ORDER_CAP = 16
 POWERSET_GROUND_CAP = 5
 
 
@@ -75,14 +64,9 @@ class CayleyTable:
 
 @dataclass(frozen=True)
 class ElementSet:
-    """A subset of semigroup elements with a role tag.
-
-    Role tags other than "generic" are only attached by operations that
-    actually checked the corresponding predicate.
-    """
+    """A subset of semigroup elements, iterated in increasing order."""
 
     members: frozenset[int]
-    role: str = GENERIC
 
     def __post_init__(self):
         object.__setattr__(self, "members", frozenset(self.members))
@@ -95,10 +79,6 @@ class ElementSet:
 
     def __len__(self) -> int:
         return len(self.members)
-
-    @property
-    def sorted_members(self) -> tuple[int, ...]:
-        return tuple(sorted(self.members))
 
 
 @dataclass(frozen=True)
@@ -246,12 +226,6 @@ class Semigroup:
         self._check_element(y)
         return self._rows[x][y]
 
-    def element_set(self, members, role: str = GENERIC) -> ElementSet:
-        members = frozenset(members)
-        for x in members:
-            self._check_element(x)
-        return ElementSet(members, role)
-
     # -- the zero-divisor graphs -----------------------------------------
 
     def _graph_on_zero_divisors(self, adjacent) -> Graph:
@@ -288,11 +262,11 @@ class Semigroup:
 
     def zero_divisors(self) -> ElementSet:
         """Z(S): elements with a nonzero annihilating partner, plus 0."""
-        return ElementSet(frozenset((0,) + self._zero_divisor_tuple), ZERO_DIVISORS)
+        return ElementSet(frozenset((0,) + self._zero_divisor_tuple))
 
     def nonzero_zero_divisors(self) -> ElementSet:
         """Z(S)*, the vertex set of the zero-divisor graph."""
-        return ElementSet(frozenset(self._zero_divisor_tuple), ZERO_DIVISORS)
+        return ElementSet(frozenset(self._zero_divisor_tuple))
 
     @cached_property
     def _nilpotent_tuple(self) -> tuple[int, ...]:
@@ -308,7 +282,7 @@ class Semigroup:
 
     def nilpotents(self) -> ElementSet:
         """N(S) = {x : x^k = 0 for some k}; always contains 0."""
-        return ElementSet(frozenset(self._nilpotent_tuple), NILPOTENTS)
+        return ElementSet(frozenset(self._nilpotent_tuple))
 
     def is_reduced(self) -> bool:
         """True iff 0 is the only nilpotent element."""
@@ -320,7 +294,7 @@ class Semigroup:
         """Ann(x) = {y : xy = 0}; always contains 0."""
         self._check_element(x)
         row = self._rows[x]
-        return ElementSet(frozenset(y for y in range(self.n) if row[y] == 0), ANNIHILATOR)
+        return ElementSet(frozenset(y for y in range(self.n) if row[y] == 0))
 
     def _members(self, t) -> frozenset[int]:
         members = frozenset(t.members if isinstance(t, ElementSet) else t)
@@ -364,7 +338,7 @@ class Semigroup:
         self._check_element(x)
         members = {x}
         members.update(self._rows[r][x] for r in range(self.n))
-        return ElementSet(frozenset(members), IDEAL)
+        return ElementSet(frozenset(members))
 
     def minimal_ideals(self) -> tuple[ElementSet, ...]:
         """All nonzero ideals containing no strictly smaller nonzero ideal.
@@ -378,7 +352,7 @@ class Semigroup:
             if not any(q < p for q in principals)
         ]
         minimal.sort(key=sorted)
-        return tuple(ElementSet(p, IDEAL) for p in minimal)
+        return tuple(ElementSet(p) for p in minimal)
 
     # -- associated primes ------------------------------------------------
 
@@ -400,7 +374,7 @@ class Semigroup:
             if self._is_prime_ideal(ann)
         ]
         return (
-            tuple((xs[0], ElementSet(ann, PRIME_IDEAL)) for xs, ann in found),
+            tuple((xs[0], ElementSet(ann)) for xs, ann in found),
             tuple(xs for xs, _ in found),
         )
 
@@ -416,7 +390,7 @@ class Semigroup:
     def _maximal_annihilators(self) -> tuple[tuple[int, ElementSet], ...]:
         classes = self._annihilator_classes
         return tuple(
-            (xs[0], ElementSet(ann, PRIME_IDEAL))
+            (xs[0], ElementSet(ann))
             for ann, xs in classes
             if not any(ann < other for other, _ in classes)
         )
@@ -431,81 +405,29 @@ class Semigroup:
 
     # -- zero as an intersection of primes ---------------------------------
 
-    def all_prime_ideals(self) -> tuple[ElementSet, ...]:
-        """Every prime ideal of S, by subset enumeration (order <= 16)."""
-        if self.n > EXHAUSTIVE_ORDER_CAP:
-            raise OrderTooLargeError(
-                "prime ideal enumeration is capped at order %d, got %d"
-                % (EXHAUSTIVE_ORDER_CAP, self.n)
-            )
-        found = []
-        nonzero = list(range(1, self.n))
-        # ideals always contain 0, so only subsets of S\{0} are extended
-        for k in range(0, self.n):
-            for combo in itertools.combinations(nonzero, k):
-                cand = frozenset((0,) + combo)
-                if self._is_prime_ideal(cand):
-                    found.append(cand)
-        found.sort(key=sorted)
-        return tuple(ElementSet(p, PRIME_IDEAL) for p in found)
+    def zero_prime_decomposition(self) -> PrimeDecomposition | None:
+        """Express {0} as an irredundant intersection of prime ideals.
 
-    @staticmethod
-    def _intersect(sets) -> frozenset[int]:
-        it = iter(sets)
-        out = next(it)
-        for s in it:
-            out = out & s
-        return out
-
-    def _reduce_decomposition(self, primes: list[frozenset[int]]) -> list[frozenset[int]]:
-        """Drop redundant primes greedily, smallest-index-first."""
-        zero = frozenset({0})
-        kept = list(primes)
-        i = 0
-        while i < len(kept):
-            rest = kept[:i] + kept[i + 1:]
-            if rest and self._intersect(rest) == zero:
-                kept = rest
-            else:
-                i += 1
-        return kept
-
-    def zero_prime_decomposition(self, mode: str = "fast") -> PrimeDecomposition | None:
-        """Express {0} as an intersection of prime ideals, if possible.
-
-        fast mode intersects the maximal annihilators (always primes) and
-        succeeds iff that intersection is {0}. exhaustive mode enumerates
-        all prime ideals (order <= 16) and returns a smallest family.
-        Returns None when no decomposition exists.
+        The answer is the maximal annihilators, which are prime, sorted
+        by their members, or None when they do not meet in {0}. Then no
+        family of primes does: a nilpotent lies in every prime ideal, and
+        if S is reduced, a nonzero x in every maximal annihilator lies in
+        a maximal Ann(w) containing Ann(x), which puts w in Ann(x), inside
+        Ann(w), so w*w = 0. The family is irredundant: for distinct
+        maximal Ann(v) and Ann(w), vw != 0 would make Ann(vw) contain
+        both, so w lies in every other one but not in Ann(w). The
+        exhaustive oracle in tests/oracles.py confirms this, and that no
+        smaller family of primes meets in {0}, on every table of order
+        <= 5.
         """
-        zero = frozenset({0})
-        if mode == "fast":
-            if self.n == 1:
-                kept = [zero]  # {0} = S is itself a (vacuous) prime ideal
-            else:
-                primes = sorted(
-                    {es.members for _, es in self.maximal_annihilators()}, key=sorted
-                )
-                if not primes or self._intersect(primes) != zero:
-                    return None
-                kept = self._reduce_decomposition(primes)
-        elif mode == "exhaustive":
-            primes = [p.members for p in self.all_prime_ideals()]
-            if not primes or self._intersect(primes) != zero:
-                return None
-            upper = len(self._reduce_decomposition(primes))
-            kept = None
-            for k in range(1, upper + 1):
-                for combo in itertools.combinations(primes, k):
-                    if self._intersect(combo) == zero:
-                        kept = list(combo)
-                        break
-                if kept is not None:
-                    break
+        if self.n == 1:
+            primes = [frozenset({0})]  # {0} = S is itself a (vacuous) prime ideal
         else:
-            raise ValueError("mode must be 'fast' or 'exhaustive', got %r" % (mode,))
+            primes = sorted((es.members for _, es in self.maximal_annihilators()), key=sorted)
+            if frozenset.intersection(*primes) != {0}:
+                return None
         return PrimeDecomposition(
-            primes=tuple(ElementSet(p, PRIME_IDEAL) for p in kept),
+            primes=tuple(ElementSet(p) for p in primes),
             minimal=True,
         )
 
@@ -559,23 +481,23 @@ def orthogonal_union(parts) -> Semigroup:
     """0-orthogonal union: shared zero, cross products all zero.
 
     Element indexing is 0, then the nonzero elements of each part in
-    order. Part labels get a ".k" suffix so names stay distinct.
+    order. Part labels get a ".k" suffix, which keeps names distinct.
+    The parts are validated semigroups, so the union is one by
+    construction and is not validated again: within a part the laws
+    hold, and any product across parts is 0.
     """
     parts = list(parts)
     if len(parts) < 2:
         raise EmptyPartListError("a 0-orthogonal union needs at least two parts")
-    offsets = []
-    total = 1
-    for p in parts:
-        offsets.append(total - 1)  # part element x>=1 lands at offset + x
-        total += p.n - 1
+    total = 1 + sum(p.n - 1 for p in parts)
     entries = [[0] * total for _ in range(total)]
     names = ["0"]
-    for k, p in enumerate(parts):
-        off = offsets[k]
+    off = 0  # part element x >= 1 lands at off + x
+    for k, p in enumerate(parts, start=1):
+        names += ["%s.%d" % (label, k) for label in p.labels[1:]]
         for x in range(1, p.n):
-            names.append("%s.%d" % (p.label(x), k + 1))
-            for y in range(1, p.n):
-                v = p.product(x, y)
-                entries[off + x][off + y] = 0 if v == 0 else off + v
-    return validate(CayleyTable(order=total, entries=tuple(map(tuple, entries)), names=names))
+            entries[off + x][off + 1:off + p.n] = [
+                0 if v == 0 else off + v for v in p._rows[x][1:]
+            ]
+        off += p.n - 1
+    return Semigroup(CayleyTable(order=total, entries=tuple(map(tuple, entries)), names=names))

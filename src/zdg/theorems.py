@@ -23,7 +23,6 @@ from .graph import (
     chromatic_number,
     clique_number,
     complete_multipartite_partition,
-    cut_vertices,
     gamma,
     girth,
     has_clique_of_size,
@@ -140,11 +139,18 @@ def check_median_center_ideals(s) -> Verdict:
 
 
 def check_cut_structures(s, size_cap: int = DEFAULT_CUTSET_CAP) -> Verdict:
-    """Separator structure: cut vertices, vertex cutsets, edge cutsets."""
+    """Separator structure: cut vertices, vertex cutsets, edge cutsets.
+
+    The cut vertices are read off the one-vertex cutsets of the one
+    vertex-cutset search, so size_cap must be at least 1.
+    """
+    if size_cap < 1:
+        raise ValueError("size_cap must be at least 1, got %r" % (size_cap,))
     g = gamma(s)
     clauses = []
+    vcs = minimal_vertex_cutsets(g, size_cap) if g.n >= 3 else ()
 
-    cvs = sorted(cut_vertices(g)) if g.n >= 3 else []
+    cvs = [x for t in vcs if len(t) == 1 for x in t]
     if not cvs:
         clauses.append(_v("cor-2.3-cut-vertices", False, True, {}, "no cut vertices"))
     else:
@@ -166,7 +172,6 @@ def check_cut_structures(s, size_cap: int = DEFAULT_CUTSET_CAP) -> Verdict:
             "{0,x} is an ideal and x is adjacent to every vertex or x in Sx",
         ))
 
-    vcs = minimal_vertex_cutsets(g, size_cap) if g.n >= 3 else ()
     if not vcs:
         clauses.append(_v(
             "thm-2.2-minimal-vertex-cutsets", False, True,

@@ -280,3 +280,99 @@ def burnside_class_count(tables, n: int) -> int:
     if rest:
         raise AssertionError("orbit sizes do not add up: %d / %d!" % (total, n - 1))
     return classes
+
+
+# -- the ideal layer, on table rows ---------------------------------------------
+#
+# S is the rows of a table of order n with 0 absorbing; every function
+# below reads products straight from them and shares no code with
+# Semigroup.
+
+
+def subsets_with_zero(n):
+    """Every subset of 0..n-1 that contains 0, by increasing size."""
+    for k in range(n):
+        for combo in itertools.combinations(range(1, n), k):
+            yield frozenset((0,) + combo)
+
+
+def naive_is_ideal(rows, members) -> bool:
+    """xs lies in the set for every x in it and every s in S."""
+    return all(rows[x][s] in members for x in members for s in range(len(rows)))
+
+
+def naive_is_prime_ideal(rows, members) -> bool:
+    """An ideal P such that xSy inside P forces x or y into P."""
+    n = len(rows)
+    if not naive_is_ideal(rows, members):
+        return False
+    for x in range(n):
+        for y in range(n):
+            if x in members or y in members:
+                continue
+            if all(rows[rows[x][s]][y] in members for s in range(n)):
+                return False
+    return True
+
+
+def brute_prime_ideals(rows):
+    """Every prime ideal, by testing every subset that contains 0."""
+    return [p for p in subsets_with_zero(len(rows)) if naive_is_prime_ideal(rows, p)]
+
+
+def brute_smallest_decomposition(rows):
+    """A smallest family of prime ideals meeting in {0}, or None.
+
+    Tries every family of k primes for k = 1, 2, ...; None when even all
+    of them together meet in more than {0}.
+    """
+    primes = brute_prime_ideals(rows)
+    if not primes or frozenset.intersection(*primes) != {0}:
+        return None
+    for k in range(1, len(primes) + 1):
+        for family in itertools.combinations(primes, k):
+            if frozenset.intersection(*family) == {0}:
+                return family
+    raise AssertionError("all primes together meet in {0}")
+
+
+def _annihilators(rows):
+    """(x, Ann(x)) for every nonzero x, in increasing x."""
+    n = len(rows)
+    return [(x, frozenset(y for y in range(n) if rows[x][y] == 0)) for x in range(1, n)]
+
+
+def _least_witness(pairs):
+    """pairs with a repeated set dropped, keeping its least x."""
+    out = []
+    for x, ann in pairs:
+        if all(ann != other for _, other in out):
+            out.append((x, ann))
+    return out
+
+
+def naive_maximal_annihilators(rows):
+    """(least x, Ann(x)) for each inclusion-maximal Ann(x), x nonzero,
+    ordered by x."""
+    anns = _annihilators(rows)
+    return _least_witness(
+        (x, ann) for x, ann in anns if not any(ann < other for _, other in anns)
+    )
+
+
+def naive_associated_primes(rows):
+    """(least x, Ann(x)) for each Ann(x), x nonzero, that is a prime ideal,
+    ordered by x."""
+    return _least_witness(
+        (x, ann) for x, ann in _annihilators(rows) if naive_is_prime_ideal(rows, ann)
+    )
+
+
+def naive_minimal_ideals(rows):
+    """The inclusion-minimal ideals other than {0}, from all subsets,
+    sorted by their sorted members."""
+    ideals = [
+        t for t in subsets_with_zero(len(rows))
+        if len(t) > 1 and naive_is_ideal(rows, t)
+    ]
+    return sorted((t for t in ideals if not any(u < t for u in ideals)), key=sorted)

@@ -169,6 +169,21 @@ def test_graph_dot_output(capsys):
     assert '"a" -- "b";' in out
 
 
+def test_graph_dot_escapes_quotes_and_backslashes(tmp_path, capsys):
+    # .sgt names may hold any non-space character; DOT quotes need escapes
+    path = tmp_path / "quoted.sgt"
+    path.write_text('3\nnames: 0 a"b c\\d\n0 0 0\n0 0 0\n0 0 0\n')
+    code, out, _ = run_cli(capsys, "graph", str(path), "--format", "dot")
+    assert code == 0
+    assert out == (
+        'graph gamma {\n'
+        '  "a\\"b";\n'
+        '  "c\\\\d";\n'
+        '  "a\\"b" -- "c\\\\d";\n'
+        '}\n'
+    )
+
+
 def test_graph_bar_variant(capsys):
     _, plain, _ = run_cli(capsys, "graph", "ex4.5", "--format", "report")
     _, barred, _ = run_cli(capsys, "graph", "ex4.5", "--bar", "--format", "report")

@@ -12,6 +12,7 @@ from zdg import (
     bonds,
     bridges,
     builtin_example,
+    cut_vertices,
     enumerate_semigroups,
     gamma,
     gamma_bar,
@@ -64,9 +65,9 @@ def connected_random_graphs(count):
 
 def assert_matches_oracles(graphs):
     """Compare both searches with the oracles at every cap, the bridges
-    with the one-edge cuts and the sides of every bond with the
-    components left by its cut; returns the number of distinct graphs
-    compared."""
+    with the one-edge cuts, the cut vertices with the one-vertex cuts and
+    the sides of every bond with the components left by its cut; returns
+    the number of distinct graphs compared."""
     seen = set()
     for g in graphs:
         key = (g.vertices, g.edges())
@@ -84,6 +85,8 @@ def assert_matches_oracles(graphs):
                 assert minimal_vertex_cutsets(g, cap) == tuple(
                     t for t in vertex_cuts if len(t) <= cap)
         assert bridges(g) == tuple(u[0] for u in edge_cuts if len(u) == 1)
+        assert cut_vertices(g) == frozenset(
+            v for t in vertex_cuts if len(t) == 1 for v in t)
         for cut, sides in bonds(g, max(CAPS)):
             assert [
                 frozenset(g.position(v) for v in side) for side in sides

@@ -23,6 +23,27 @@ def test_package_has_no_assert_statements():
     assert found == []
 
 
+ENUMERATORS = {"combinations", "permutations"}
+
+
+def test_package_does_not_enumerate_subsets_or_permutations():
+    # trying every subset or every relabeling is how the oracles in
+    # tests/oracles.py work; the package must answer without it
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr in ENUMERATORS:
+                found.append("%s:%d %s" % (path.name, node.lineno, node.attr))
+            elif isinstance(node, ast.ImportFrom) and node.module == "itertools":
+                found += [
+                    "%s:%d %s" % (path.name, node.lineno, alias.name)
+                    for alias in node.names
+                    if alias.name in ENUMERATORS
+                ]
+    assert found == []
+
+
 GRAPH_INTERNALS = {
     "_mask", "_reach", "_split", "_union_tables", "_bfs_layers", "_with_masks",
 }

@@ -6,16 +6,28 @@ from zdg import (
     CayleyTable,
     EmptyPartListError,
     EmptySetError,
+    EnumerationOptions,
     MalformedTableError,
     Semigroup,
     ValidationError,
     builtin_example,
+    enumerate_semigroups,
     group_with_zero,
     null_semigroup,
     orthogonal_union,
     powerset_semigroup,
     sgt,
     validate,
+)
+from oracles import (
+    brute_prime_ideals,
+    brute_smallest_decomposition,
+    naive_associated_primes,
+    naive_is_ideal,
+    naive_is_prime_ideal,
+    naive_maximal_annihilators,
+    naive_minimal_ideals,
+    subsets_with_zero,
 )
 
 
@@ -105,8 +117,6 @@ def test_nilpotents_of_ex35():
 
 def test_zero_divisor_set_is_an_ideal_small_corpus():
     # Z(S) is an ideal and its complement with 0 is a subsemigroup
-    from zdg import EnumerationOptions, enumerate_semigroups
-
     for s in enumerate_semigroups(EnumerationOptions(order=4, up_to_iso=True)):
         z = members(s.zero_divisors())
         assert s.is_ideal(z)
@@ -208,6 +218,38 @@ def test_ass_of_ex34():
     assert primes == {frozenset({0, 1, 2, 3}), frozenset({0, 2, 4})}
 
 
+# -- the ideal layer against the naive definitions ----------------------------------
+
+
+def iso_corpus():
+    """Every semigroup of order 2 to 5, up to isomorphism (275 in all)."""
+    for order in range(2, 6):
+        yield from enumerate_semigroups(EnumerationOptions(order, up_to_iso=True))
+
+
+def test_ideal_predicates_match_naive_definitions():
+    count = 0
+    for s in iso_corpus():
+        count += 1
+        rows = s.table.entries
+        for t in subsets_with_zero(s.n):
+            assert s.is_ideal(t) == naive_is_ideal(rows, t)
+            assert s.is_prime_ideal(t) == naive_is_prime_ideal(rows, t)
+    assert count == 275
+
+
+def test_annihilators_and_minimal_ideals_match_naive_definitions():
+    for s in iso_corpus():
+        rows = s.table.entries
+        assert [
+            (x, ann.members) for x, ann in s.maximal_annihilators()
+        ] == naive_maximal_annihilators(rows)
+        assert [
+            (x, p.members) for x, p in s.associated_primes()
+        ] == naive_associated_primes(rows)
+        assert [m.members for m in s.minimal_ideals()] == naive_minimal_ideals(rows)
+
+
 # -- prime decompositions of zero -------------------------------------------------
 
 
@@ -219,27 +261,33 @@ def test_powerset_decomposition_has_n_primes():
         assert len(dec.primes) == n
 
 
-def test_fast_and_exhaustive_modes_agree_on_small_orders():
-    from zdg import EnumerationOptions, enumerate_semigroups
-
-    for s in enumerate_semigroups(EnumerationOptions(order=4, up_to_iso=True)):
-        fast = s.zero_prime_decomposition(mode="fast")
-        full = s.zero_prime_decomposition(mode="exhaustive")
-        assert (fast is None) == (full is None)
-        if fast is not None:
-            inter = set(s.elements)
-            for p in fast.primes:
-                assert s.is_prime_ideal(p.members)
-                inter &= p.members
-            assert inter == {0}
-            # exhaustive finds a minimum-size family, never larger
-            assert len(full.primes) <= len(fast.primes)
+def test_decomposition_matches_exhaustive_oracle_on_raw_tables():
+    # the oracle tries every family of prime ideals found by testing
+    # every subset, so it also confirms that the greedy family is smallest
+    count = 0
+    for order in range(2, 6):
+        for s in enumerate_semigroups(EnumerationOptions(order)):
+            count += 1
+            rows = s.table.entries
+            smallest = brute_smallest_decomposition(rows)
+            dec = s.zero_prime_decomposition()
+            assert (dec is None) == (smallest is None)
+            if dec is None:
+                continue
+            primes = [p.members for p in dec.primes]
+            assert set(primes) <= set(brute_prime_ideals(rows))
+            assert frozenset.intersection(*primes) == {0}
+            for i in range(len(primes)):
+                rest = primes[:i] + primes[i + 1:]
+                assert not rest or frozenset.intersection(*rest) != {0}
+            assert len(primes) == len(smallest)
+    assert count == 4494
 
 
 def test_non_reduced_fixture_has_no_decomposition():
     s = builtin_example("ex4.5")
     assert s.zero_prime_decomposition() is None
-    assert s.zero_prime_decomposition(mode="exhaustive") is None
+    assert brute_smallest_decomposition(s.table.entries) is None
 
 
 def test_decomposition_of_trivial_semigroup():

@@ -1,5 +1,7 @@
 """Structure checks: verdict mechanics and expected outcomes on fixtures."""
 
+import pytest
+
 from zdg import (
     CayleyTable,
     Semigroup,
@@ -302,3 +304,9 @@ def test_cutset_cap_is_honored():
     capped = check_cut_structures(s, size_cap=1)
     ec = clause((capped,), "cor-2.6-minimal-edge-cutsets")
     assert not ec.applicable  # the smallest edge cutset has two edges
+
+
+def test_cutset_cap_below_one_is_rejected():
+    # the cut vertices are the one-vertex cutsets, so cap 0 would hide them
+    with pytest.raises(ValueError):
+        check_cut_structures(builtin_example("ex3.4"), size_cap=0)
