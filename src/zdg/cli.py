@@ -137,23 +137,23 @@ def _write_corpus(stream) -> int:
     return 0
 
 
-def _cmd_enumerate(args) -> int:
-    opts = EnumerationOptions(
+def _corpus_options(args) -> EnumerationOptions:
+    """The enumeration options the corpus flags ask for."""
+    return EnumerationOptions(
         order=args.order,
         up_to_iso=args.up_to_iso,
         require_reduced=args.reduced,
         limit=args.limit,
     )
+
+
+def _cmd_enumerate(args) -> int:
+    opts = _corpus_options(args)
     return _write_corpus(enumerate_semigroups(opts, workers=args.workers))
 
 
 def _cmd_search(args) -> int:
-    opts = EnumerationOptions(
-        order=args.order,
-        up_to_iso=args.up_to_iso,
-        require_reduced=args.reduced,
-        limit=args.limit,
-    )
+    opts = _corpus_options(args)
     return _write_corpus(search(opts, args.predicate, workers=args.workers))
 
 

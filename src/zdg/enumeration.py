@@ -22,7 +22,7 @@ from __future__ import annotations
 import itertools
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .errors import MalformedTableError, OrderTooLargeError, UnknownPredicateError
 from .graph import (
@@ -416,12 +416,8 @@ def audit(opts: EnumerationOptions, size_cap: int = DEFAULT_CUTSET_CAP, workers:
 
 
 def _pred_complete_rpartite(s, g, arg):
-    if g.n == 0:
-        return False
-    part = complete_multipartite_partition(g)
-    if part is None or not part.parts:
-        return False
-    return arg is None or part.r == arg
+    parts = complete_multipartite_partition(g)
+    return bool(parts) and (arg is None or len(parts) == arg)
 
 
 def _pred_has_bridge(s, g, arg):
@@ -495,14 +491,9 @@ def search(opts: EnumerationOptions, predicate: str, workers: int = 1):
     """
     fn, arg = _parse_predicate(predicate)
     # the limit caps matches, not the enumerated universe
-    inner = EnumerationOptions(
-        order=opts.order,
-        up_to_iso=opts.up_to_iso,
-        require_reduced=opts.require_reduced,
-    )
     matches = (
         s
-        for s in enumerate_semigroups(inner, workers=workers)
+        for s in enumerate_semigroups(replace(opts, limit=None), workers=workers)
         if fn(s, gamma(s), arg)
     )
     if opts.limit is not None:

@@ -257,25 +257,17 @@ class Graph:
                 for j in _positions(layer):
                     row[j] = d
             dist.append(tuple(row))
-        comps = self._components
-        # BFS from i stops at the edge of its component, so the layer
-        # count gives i's eccentricity within that component
-        comp_ecc = [len(layers) - 1 for layers in self._bfs_layers]
-        if len(comps) > 1:
+        if len(self._components) > 1:
             ecc = (INF,) * n
             radius = diameter = INF
             dsum = (INF,) * n
         else:
-            ecc = tuple(comp_ecc)
+            # BFS from i reaches the whole graph, so the layer count gives
+            # i's eccentricity
+            ecc = tuple(len(layers) - 1 for layers in self._bfs_layers)
             radius = min(ecc, default=0)
             diameter = max(ecc, default=0)
             dsum = tuple(sum(row) for row in dist)
-        comp_r = []
-        comp_d = []
-        for comp in comps:
-            eccs = [comp_ecc[i] for i in _positions(comp)]
-            comp_r.append(min(eccs))
-            comp_d.append(max(eccs))
         return GraphMetrics(
             dist=tuple(dist),
             ecc=ecc,
@@ -284,8 +276,6 @@ class Graph:
             girth=self._girth,
             distance_sum=dsum,
             components=self.components(),
-            component_radii=tuple(comp_r),
-            component_diameters=tuple(comp_d),
         )
 
     @cached_property
@@ -332,8 +322,6 @@ class GraphMetrics:
     girth: float
     distance_sum: tuple
     components: tuple
-    component_radii: tuple
-    component_diameters: tuple
 
     @property
     def connected(self) -> bool:
@@ -648,24 +636,13 @@ def chromatic_number(g: Graph) -> tuple[int, tuple[int, ...]]:
 # -- complete multipartite recognition ---------------------------------------
 
 
-@dataclass(frozen=True)
-class Partition:
-    """Vertex parts of a complete multipartite graph, as element sets."""
-
-    parts: tuple[frozenset[int], ...]
-
-    @property
-    def r(self) -> int:
-        return len(self.parts)
-
-
-def complete_multipartite_partition(g: Graph) -> Partition | None:
-    """Recognize complete multipartite graphs.
+def complete_multipartite_partition(g: Graph) -> tuple[frozenset[int], ...] | None:
+    """The parts of a complete multipartite graph, or None for any other.
 
     G is complete multipartite iff "equal or non-adjacent" is an
     equivalence relation; its classes, each vertex with its
     non-neighbours, are then the parts. Parts come back sorted by size,
-    then least vertex.
+    then least vertex; the graph with no vertices has no parts, ().
     """
     full = (1 << g.n) - 1
     closed = [full & ~m for m in g._mask]
@@ -673,7 +650,7 @@ def complete_multipartite_partition(g: Graph) -> Partition | None:
         return None  # an edge inside a would-be part
     parts = [frozenset(g.vertices[i] for i in _positions(p)) for p in set(closed)]
     parts.sort(key=lambda p: (len(p), min(p)))
-    return Partition(parts=tuple(parts))
+    return tuple(parts)
 
 
 # -- export -------------------------------------------------------------------

@@ -96,13 +96,13 @@ def invariants_block(s) -> dict:
     m = metrics(g)
     omega, clique = clique_number(g)
     chi, coloring = chromatic_number(g)
-    part = complete_multipartite_partition(g)
+    parts = complete_multipartite_partition(g)
     dec = s.zero_prime_decomposition()
     block = {
         "order": s.n,
         "names": list(s.table.names) if s.table.names else None,
-        "zero_divisors": sorted(s.nonzero_zero_divisors().members),
-        "nilpotents": sorted(x for x in s.nilpotents() if x != 0),
+        "zero_divisors": sorted(s.nonzero_zero_divisors()),
+        "nilpotents": sorted(s.nilpotents() - {0}),
         "reduced": s.is_reduced(),
         "graph": {
             "vertices": g.n,
@@ -117,16 +117,16 @@ def invariants_block(s) -> dict:
         "omega": omega,
         "clique": list(clique),
         "chi": chi,
-        "partition": [sorted(p) for p in part.parts] if part is not None else None,
-        "associated_primes": [
-            sorted(p.members) for _, p in s.associated_primes()
-        ],
+        "partition": [sorted(p) for p in parts] if parts is not None else None,
+        "associated_primes": [sorted(p) for _, p in s.associated_primes()],
         "decomposition": None,
     }
     if dec is not None:
         block["decomposition"] = {
-            "primes": [sorted(p.members) for p in dec.primes],
-            "minimal": dec.minimal,
+            "primes": [sorted(p) for p in dec],
+            # always true: Semigroup.zero_prime_decomposition proves the
+            # family it returns irredundant
+            "minimal": True,
         }
     return block
 

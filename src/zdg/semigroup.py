@@ -62,33 +62,6 @@ class CayleyTable:
         return CayleyTable(order=n, entries=tuple(map(tuple, new)), names=names)
 
 
-@dataclass(frozen=True)
-class ElementSet:
-    """A subset of semigroup elements, iterated in increasing order."""
-
-    members: frozenset[int]
-
-    def __post_init__(self):
-        object.__setattr__(self, "members", frozenset(self.members))
-
-    def __contains__(self, x) -> bool:
-        return x in self.members
-
-    def __iter__(self):
-        return iter(sorted(self.members))
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-
-@dataclass(frozen=True)
-class PrimeDecomposition:
-    """A family of prime ideals whose intersection is the zero ideal."""
-
-    primes: tuple[ElementSet, ...]
-    minimal: bool
-
-
 def _check_shape(table: CayleyTable) -> None:
     n = table.order
     if n < 1:
@@ -260,13 +233,13 @@ class Semigroup:
                 out.append(x)
         return tuple(out)
 
-    def zero_divisors(self) -> ElementSet:
+    def zero_divisors(self) -> frozenset[int]:
         """Z(S): elements with a nonzero annihilating partner, plus 0."""
-        return ElementSet(frozenset((0,) + self._zero_divisor_tuple))
+        return frozenset((0,) + self._zero_divisor_tuple)
 
-    def nonzero_zero_divisors(self) -> ElementSet:
+    def nonzero_zero_divisors(self) -> frozenset[int]:
         """Z(S)*, the vertex set of the zero-divisor graph."""
-        return ElementSet(frozenset(self._zero_divisor_tuple))
+        return frozenset(self._zero_divisor_tuple)
 
     @cached_property
     def _nilpotent_tuple(self) -> tuple[int, ...]:
@@ -280,9 +253,9 @@ class Semigroup:
                     break
         return tuple(out)
 
-    def nilpotents(self) -> ElementSet:
+    def nilpotents(self) -> frozenset[int]:
         """N(S) = {x : x^k = 0 for some k}; always contains 0."""
-        return ElementSet(frozenset(self._nilpotent_tuple))
+        return frozenset(self._nilpotent_tuple)
 
     def is_reduced(self) -> bool:
         """True iff 0 is the only nilpotent element."""
@@ -290,14 +263,14 @@ class Semigroup:
 
     # -- ideals ----------------------------------------------------------
 
-    def annihilator(self, x: int) -> ElementSet:
+    def annihilator(self, x: int) -> frozenset[int]:
         """Ann(x) = {y : xy = 0}; always contains 0."""
         self._check_element(x)
         row = self._rows[x]
-        return ElementSet(frozenset(y for y in range(self.n) if row[y] == 0))
+        return frozenset(y for y in range(self.n) if row[y] == 0)
 
     def _members(self, t) -> frozenset[int]:
-        members = frozenset(t.members if isinstance(t, ElementSet) else t)
+        members = frozenset(t)
         if not members:
             raise EmptySetError("element set must be non-empty")
         for x in members:
@@ -333,14 +306,12 @@ class Semigroup:
                     return False
         return True
 
-    def principal_ideal(self, x: int) -> ElementSet:
+    def principal_ideal(self, x: int) -> frozenset[int]:
         """Smallest ideal containing x, i.e. Sx together with x itself."""
         self._check_element(x)
-        members = {x}
-        members.update(self._rows[r][x] for r in range(self.n))
-        return ElementSet(frozenset(members))
+        return frozenset(self._rows[x]) | {x}
 
-    def minimal_ideals(self) -> tuple[ElementSet, ...]:
+    def minimal_ideals(self) -> tuple[frozenset[int], ...]:
         """All nonzero ideals containing no strictly smaller nonzero ideal.
 
         Every minimal nonzero ideal is principal, so inclusion-minimal
@@ -352,7 +323,7 @@ class Semigroup:
             if not any(q < p for q in principals)
         ]
         minimal.sort(key=sorted)
-        return tuple(ElementSet(p) for p in minimal)
+        return tuple(minimal)
 
     # -- associated primes ------------------------------------------------
 
@@ -367,18 +338,18 @@ class Semigroup:
         return tuple((ann, tuple(xs)) for ann, xs in classes.items())
 
     @cached_property
-    def _associated(self) -> tuple[tuple[tuple[int, ElementSet], ...], tuple[tuple[int, ...], ...]]:
+    def _associated(self) -> tuple[tuple[tuple[int, frozenset[int]], ...], tuple[tuple[int, ...], ...]]:
         """associated_primes(), and the nonzero elements realizing each."""
         found = [
             (xs, ann) for ann, xs in self._annihilator_classes
             if self._is_prime_ideal(ann)
         ]
         return (
-            tuple((xs[0], ElementSet(ann)) for xs, ann in found),
+            tuple((xs[0], ann) for xs, ann in found),
             tuple(xs for xs, _ in found),
         )
 
-    def associated_primes(self) -> tuple[tuple[int, ElementSet], ...]:
+    def associated_primes(self) -> tuple[tuple[int, frozenset[int]], ...]:
         """All pairs (x, Ann(x)) with x nonzero and Ann(x) a prime ideal.
 
         Deduplicated by set equality; the least witness is retained and
@@ -387,25 +358,25 @@ class Semigroup:
         return self._associated[0]
 
     @cached_property
-    def _maximal_annihilators(self) -> tuple[tuple[int, ElementSet], ...]:
+    def _maximal_annihilators(self) -> tuple[tuple[int, frozenset[int]], ...]:
         classes = self._annihilator_classes
         return tuple(
-            (xs[0], ElementSet(ann))
+            (xs[0], ann)
             for ann, xs in classes
             if not any(ann < other for other, _ in classes)
         )
 
-    def maximal_annihilators(self) -> tuple[tuple[int, ElementSet], ...]:
+    def maximal_annihilators(self) -> tuple[tuple[int, frozenset[int]], ...]:
         """Inclusion-maximal annihilators of nonzero elements.
 
         These are always prime ideals; the structure checkers re-verify
-        that through is_prime_ideal rather than trusting the tag.
+        that through is_prime_ideal rather than assuming it.
         """
         return self._maximal_annihilators
 
     # -- zero as an intersection of primes ---------------------------------
 
-    def zero_prime_decomposition(self) -> PrimeDecomposition | None:
+    def zero_prime_decomposition(self) -> tuple[frozenset[int], ...] | None:
         """Express {0} as an irredundant intersection of prime ideals.
 
         The answer is the maximal annihilators, which are prime, sorted
@@ -421,15 +392,11 @@ class Semigroup:
         <= 5.
         """
         if self.n == 1:
-            primes = [frozenset({0})]  # {0} = S is itself a (vacuous) prime ideal
-        else:
-            primes = sorted((es.members for _, es in self.maximal_annihilators()), key=sorted)
-            if frozenset.intersection(*primes) != {0}:
-                return None
-        return PrimeDecomposition(
-            primes=tuple(ElementSet(p) for p in primes),
-            minimal=True,
-        )
+            return (frozenset({0}),)  # {0} = S is itself a (vacuous) prime ideal
+        primes = sorted((ann for _, ann in self.maximal_annihilators()), key=sorted)
+        if frozenset.intersection(*primes) != {0}:
+            return None
+        return tuple(primes)
 
 
 # -- builders -------------------------------------------------------------

@@ -56,13 +56,3 @@ def dumps(table: CayleyTable) -> str:
     for row in table.entries:
         lines.append(" ".join(str(v).rjust(width) for v in row))
     return "\n".join(lines) + "\n"
-
-
-def load(path: str) -> CayleyTable:
-    with open(path, "r", encoding="utf-8") as fh:
-        return loads(fh.read())
-
-
-def dump(table: CayleyTable, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps(table))

@@ -89,7 +89,7 @@ def _orbit(s, x) -> set[int]:
 
 def check_nilpotent_subgraph(s) -> Verdict:
     """Nonzero nilpotents must induce a connected subgraph of diameter <= 2."""
-    nstar = [x for x in s.nilpotents() if x != 0]
+    nstar = list(s._nilpotent_tuple[1:])
     if not nstar:
         clause = _v(
             "prop-2.1-nilpotent-subgraph", False, True,
@@ -253,7 +253,7 @@ def check_bridge(s) -> Verdict:
         sizes = {v: len(next(c for c in sides if v in c)) for v in (x, y)}
         if sizes[x] >= 2 and sizes[y] >= 2:
             if minimal_members is None:
-                minimal_members = {m.members for m in s.minimal_ideals()}
+                minimal_members = set(s.minimal_ideals())
             sx, sy = _orbit(s, x), _orbit(s, y)
             ok = sx == {0, x} and sy == {0, y}
             two_recs.append({
@@ -315,8 +315,8 @@ def check_ass_properties(s) -> Verdict:
         ))
     else:
         recs = [
-            {"witness": w, "annihilator": sorted(a.members),
-             "prime": s._is_prime_ideal(a.members)}
+            {"witness": w, "annihilator": sorted(a),
+             "prime": s._is_prime_ideal(a)}
             for w, a in maxanns
         ]
         clauses.append(_v(
@@ -329,7 +329,7 @@ def check_ass_properties(s) -> Verdict:
     pairs, witnesses = s._associated
     k = len(pairs)
     ass_witness = {
-        "associated_primes": [sorted(es.members) for _, es in pairs],
+        "associated_primes": [sorted(p) for _, p in pairs],
         "realizing_elements": [list(xs) for xs in witnesses],
     }
 
@@ -403,8 +403,7 @@ def _partition_conclusions(s, parts, zstar):
 def check_rpartite(s) -> Verdict:
     """Complete multipartite graphs reflect into ideal structure."""
     g = gamma(s)
-    part = complete_multipartite_partition(g) if g.n else None
-    parts = part.parts if part is not None and part.parts else None
+    parts = complete_multipartite_partition(g) or None
     zstar = set(g.vertices)
     reduced = s.is_reduced()
     squares_nonzero = all(s._rows[x][x] != 0 for x in range(1, s.n))
@@ -466,7 +465,7 @@ def check_rpartite(s) -> Verdict:
 
     ass = s.associated_primes()
     if len(ass) == 2:
-        p1, p2 = (es.members for _, es in ass)
+        (_, p1), (_, p2) = ass
         hyp = len(p1) >= 3 and len(p2) >= 3 and (p1 & p2) == {0}
     else:
         hyp = False
@@ -486,7 +485,7 @@ def check_rpartite(s) -> Verdict:
         ))
 
     if parts is not None and all(sz >= 2 for sz in part_sizes):
-        nil = [x for x in s.nilpotents() if x != 0]
+        nil = s._nilpotent_tuple[1:]
         part_ideals = {
             tuple(sorted(p)): s._is_ideal(set(p) | {0}) for p in parts
         }
@@ -539,7 +538,7 @@ def check_chromatic(s) -> Verdict:
     chi = chromatic_number(g)[0]
     omega = clique_number(g)[0]
     dec = s.zero_prime_decomposition()
-    k = len(dec.primes) if dec is not None else None
+    k = len(dec) if dec is not None else None
     reduced = s.is_reduced()
 
     clauses = [
@@ -561,7 +560,7 @@ def check_chromatic(s) -> Verdict:
         ),
         _v(
             "cor-4.2-chi-omega-count",
-            reduced and dec is not None and dec.minimal and (k or 0) >= 2,
+            reduced and dec is not None and k >= 2,
             chi == omega == k,
             {"chi": chi, "omega": omega, "prime_count": k},
             "reduced with a minimal decomposition into n >= 2 primes: "

@@ -98,7 +98,7 @@ def test_04_powerset_chromatic_equals_prime_count():
         assert chromatic_number(g)[0] == n
         assert clique_number(g)[0] == n
         dec = s.zero_prime_decomposition()
-        assert dec is not None and len(dec.primes) == n
+        assert dec is not None and len(dec) == n
         for x in range(n):
             complement_of_x = frozenset(
                 m for m in range(1 << n) if not m & (1 << x)
@@ -123,7 +123,7 @@ def test_05_associated_prime_forcing():
 def test_06_two_group_union_is_k22_of_girth_4():
     parts = [group_with_zero(3), group_with_zero(3)]
     for p in parts:
-        assert set(p.nonzero_zero_divisors().members) == set()
+        assert p.nonzero_zero_divisors() == set()
     s = orthogonal_union(parts)
     g = gamma(s)
     assert g.n == 4 and g.edge_count == 4

@@ -1,9 +1,10 @@
-"""Golden hashes of --format report output, pinned before refactors.
+"""Golden hashes of report and text output, pinned before refactors.
 
 Each digest is the sha256 of the bytes a refactor of the graph, semigroup
 or theorem layers must leave unchanged: the up-to-isomorphism audit
 report of orders 2-5 and the stdout of `zdg check` and `zdg invariants`
-on builtin examples (powerset:5 checked at cutset cap 3 to stay fast).
+on builtin examples, in both --format report and the default text
+format (powerset:5 checked at cutset cap 3 to stay fast).
 """
 
 import contextlib
@@ -91,6 +92,74 @@ COMMAND_DIGESTS = {
         "796d14cfdd77ccbf65a0e6f1e7774c352d1306d62e31abb614bf16f92503e747",
     "invariants powerset:5 --format report":
         "f60f6b86ba38b5ef3acfb2ad7e4516fafffe111d1756fde3182ec9823fab1981",
+    "check ex3.4":
+        "1beb0d112935e096f66aba311c1d3e4726f3598a993aa00de76d12ceeea87ae9",
+    "invariants ex3.4":
+        "98a5d949b9d03b870962ea344c66acb4e72a1672b832ac93c613627cef071a8c",
+    "check ex3.5":
+        "bcdff1d0a445369582e75fa61c56043d0776a2064ebfcd7a38f27c2057f69dac",
+    "invariants ex3.5":
+        "bc255942a9521c9829fd1c83f1b0b6cca02433846030d558688b8e3a6a7eb72b",
+    "check ex3.8":
+        "ec97f84f5f479758d032fc6aea0c2d78f3e0d7042e568c73b5a2d988a853d85a",
+    "invariants ex3.8":
+        "29512d05e629d84554e021f946b1c2e6ef821bad3d0c312e2941dab27330a8e6",
+    "check ex4.3":
+        "3a92d013c71c89779ce6d1a27d94867628f30e2977608de2a3eadb5e532bdc28",
+    "invariants ex4.3":
+        "c6b5e4005b292a15ade912ea14f7ff96fdf5b20f1e97dc193961edf82a5f914d",
+    "check ex4.5":
+        "e22fd9df39db8326f6328c91db115eb83f1dd9d83d6bea64cac3586ee00804fb",
+    "invariants ex4.5":
+        "4b1675f898c9577ea34aa8d8c38a70aed1623eafe3f9f00fe246bb89944f12d8",
+    "check zg:6":
+        "b8307ad1baa722bae6378b69c94f38edef12672270b9636ffda8bd31fa98583a",
+    "invariants zg:6":
+        "adbeab9b4e85da5e8d67f78df1c54b46520839913a066bed8c24820aa467bd40",
+    "check null:8":
+        "031050d5136bbb9a8fadcb98a9e36123b8ef402733d0e46ba5ae91ba1febd0dc",
+    "invariants null:8":
+        "ae02f4a89eefba75c4f309a43ccfbd07663da47c9b6a74e009d54e58c516a254",
+    "check null:10":
+        "031050d5136bbb9a8fadcb98a9e36123b8ef402733d0e46ba5ae91ba1febd0dc",
+    "invariants null:10":
+        "d7f0942c13f04817e49257d9151fa2b98fcd687870410272731110390f60503e",
+    "check null:11":
+        "031050d5136bbb9a8fadcb98a9e36123b8ef402733d0e46ba5ae91ba1febd0dc",
+    "invariants null:11":
+        "fb7e9987fdd960d8ece4af4f129490120ccf95898464c965db77de033a809997",
+    "check powerset:4":
+        "3a92d013c71c89779ce6d1a27d94867628f30e2977608de2a3eadb5e532bdc28",
+    "invariants powerset:4":
+        "e4209d859bf3bef747f4f715ad662504b0f2f59ed0fe7c9516df36b593a5f984",
+    "check ortho:zg3+zg3":
+        "5e7543be6f19389ceceacce04e0b911cbf795870ddab76ac01a7a43571165b1f",
+    "invariants ortho:zg3+zg3":
+        "2ba7e48aa9133a262256a925511f961248c30631184dbbb887d83dd55e593484",
+    "check ortho:null3+null4":
+        "79b09cfc44e35f4503f22688dbb1d0864a7599dedcbb4a102bc7fa99baedc77d",
+    "invariants ortho:null3+null4":
+        "adf46fc44c1e6b7b8d4b2a5cee7a4f054bc8a01811d7ffa1f342a63e84bdcc54",
+    "check ortho:powerset2+powerset2":
+        "2982a766efe0d31e7da6f065d14fb38022476c1b0bd48743da0ab6246a8e8cf6",
+    "invariants ortho:powerset2+powerset2":
+        "ba55b3755c4d6c13bc27fa278f33c8052546fcb919af230e30af2a235c4c210b",
+    "check ortho:powerset2+powerset3":
+        "7892cba83a297ad6cd6d4bb6744a3e84f2ef05542e29b0c5f0ffeb68dec23a5b",
+    "invariants ortho:powerset2+powerset3":
+        "22b425fa54efe18bb9218f0305235b44c108329823a618e82ba4ede7092afbdb",
+    "check ortho:null4+powerset3":
+        "a6785c1b164f5e2782bec153a4c1fcc5673053ed638e09dc3a43f308cb31f36b",
+    "invariants ortho:null4+powerset3":
+        "6d9f3eedaee04818a4851956f5b72c57f6f0f878d0d03d414c1698b95004b711",
+    "check ortho:null4+null4+zg3":
+        "3f21dbd9cc98973e84c40f7b3c21d81f11b0559f74822ba37780102b9b3ff1a4",
+    "invariants ortho:null4+null4+zg3":
+        "afc0059578fb3a623d08fec0fbfa6670fbda5a6e43be4a08749adedbc288b0a3",
+    "check powerset:5 --cutset-cap 3":
+        "f8a986d5726d17cf4bbbcc9babd02d4b1195d2d2f8517f7e75c69252b2c7fb7f",
+    "invariants powerset:5":
+        "92995fb837ecfc8ce143e90a82df259ed7f656218ce73a0df545644df80ac874",
 }
 
 

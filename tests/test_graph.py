@@ -114,7 +114,6 @@ def test_disconnected_metrics_use_infinity():
     assert not m.connected
     assert m.diameter == INF
     assert len(m.components) == 2
-    assert m.component_diameters == (1, 1)
 
 
 def test_radius_diameter_inequality_on_corpus():
@@ -246,6 +245,7 @@ def test_empty_and_single_vertex_graphs():
     single = Graph((5,), ())
     assert clique_number(empty) == (0, ())
     assert chromatic_number(empty) == (0, ())
+    assert complete_multipartite_partition(empty) == ()
     assert clique_number(single)[0] == 1
     assert chromatic_number(single)[0] == 1
     assert girth(single) == INF
@@ -256,16 +256,15 @@ def test_empty_and_single_vertex_graphs():
 
 def test_complete_bipartite_recognition():
     g = gamma(orthogonal_union([group_with_zero(3), group_with_zero(3)]))
-    part = complete_multipartite_partition(g)
-    assert part is not None
-    assert sorted(sorted(p) for p in part.parts) == [[1, 2], [3, 4]]
-    assert part.r == 2
+    parts = complete_multipartite_partition(g)
+    assert parts is not None
+    assert sorted(sorted(p) for p in parts) == [[1, 2], [3, 4]]
 
 
 def test_complete_multipartite_of_null_semigroup():
     g = gamma(null_semigroup(5))  # K4
-    part = complete_multipartite_partition(g)
-    assert part is not None and part.r == 4
+    parts = complete_multipartite_partition(g)
+    assert parts is not None and len(parts) == 4
 
 
 def test_path_is_not_complete_multipartite():
@@ -274,9 +273,9 @@ def test_path_is_not_complete_multipartite():
 
 def test_star_is_complete_bipartite():
     g = gamma(builtin_example("ex3.8"))
-    part = complete_multipartite_partition(g)
-    assert part is not None
-    assert sorted(len(p) for p in part.parts) == [1, 2]
+    parts = complete_multipartite_partition(g)
+    assert parts is not None
+    assert sorted(len(p) for p in parts) == [1, 2]
 
 
 # -- dot and induced -------------------------------------------------------------------

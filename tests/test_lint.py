@@ -65,6 +65,26 @@ def test_only_graph_module_reads_graph_internals():
     assert found == []
 
 
+def test_package_exports_match_its_imports():
+    # __all__ is written by hand: a name deleted from a module but left
+    # there, or imported into the package but never listed, is drift
+    import zdg
+
+    exported = zdg.__all__
+    assert len(exported) == len(set(exported))
+    assert [name for name in exported if not hasattr(zdg, name)] == []
+    init = PACKAGE / "__init__.py"
+    tree = ast.parse(init.read_text(encoding="utf-8"), filename=str(init))
+    imported = {
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    }
+    public = {name for name in imported if not name.startswith("_")}
+    assert sorted(public - set(exported)) == []
+
+
 ORACLES = Path(__file__).resolve().parent / "oracles.py"
 # the containers an oracle may build on; everything else in zdg is code
 # under test, and an oracle sharing it would confirm the code by itself

@@ -31,10 +31,6 @@ from oracles import (
 )
 
 
-def members(element_set):
-    return set(element_set.members)
-
-
 # -- validation ----------------------------------------------------------------
 
 
@@ -100,25 +96,25 @@ def test_malformed_rejects_ragged_table():
 def test_ex45_zero_divisors_include_square_zero_elements():
     s = builtin_example("ex4.5")
     # every nonzero element squares to 0, so all six are zero divisors
-    assert members(s.nonzero_zero_divisors()) == set(range(1, 7))
+    assert s.nonzero_zero_divisors() == set(range(1, 7))
     assert not s.is_reduced()
 
 
 def test_group_with_zero_has_no_nonzero_zero_divisors():
     s = group_with_zero(3)
-    assert members(s.nonzero_zero_divisors()) == set()
+    assert s.nonzero_zero_divisors() == set()
     assert s.is_reduced()
 
 
 def test_nilpotents_of_ex35():
     s = builtin_example("ex3.5")  # z^2 = 0, x and y idempotent
-    assert members(s.nilpotents()) == {0, 3}
+    assert s.nilpotents() == {0, 3}
 
 
 def test_zero_divisor_set_is_an_ideal_small_corpus():
     # Z(S) is an ideal and its complement with 0 is a subsemigroup
     for s in enumerate_semigroups(EnumerationOptions(order=4, up_to_iso=True)):
-        z = members(s.zero_divisors())
+        z = s.zero_divisors()
         assert s.is_ideal(z)
         rest = (set(s.elements) - z) | {0}
         for x in rest:
@@ -158,13 +154,13 @@ def test_nonideal_is_never_prime():
 
 def test_principal_ideal_of_ex34():
     s = builtin_example("ex3.4")
-    assert members(s.principal_ideal(2)) == {0, 2}      # Sb + b
-    assert members(s.principal_ideal(1)) == {0, 1, 2, 3}  # Sa + a
+    assert s.principal_ideal(2) == {0, 2}      # Sb + b
+    assert s.principal_ideal(1) == {0, 1, 2, 3}  # Sa + a
 
 
 def test_minimal_ideals_of_ex34():
     s = builtin_example("ex3.4")
-    assert {frozenset(m.members) for m in s.minimal_ideals()} == {
+    assert set(s.minimal_ideals()) == {
         frozenset({0, 2}),
         frozenset({0, 3}),
     }
@@ -176,14 +172,14 @@ def test_minimal_ideals_of_ex34():
 def test_annihilator_contains_zero_and_may_contain_x():
     s = builtin_example("ex4.5")
     for x in range(1, s.n):
-        ann = members(s.annihilator(x))
+        ann = s.annihilator(x)
         assert 0 in ann
-    assert 1 in members(s.annihilator(1))  # a^2 = 0
+    assert 1 in s.annihilator(1)  # a^2 = 0
 
 
 def test_powerset3_associated_primes_are_the_three_point_complements():
     s = powerset_semigroup(3)
-    primes = {frozenset(p.members) for _, p in s.associated_primes()}
+    primes = {p for _, p in s.associated_primes()}
     expected = {
         frozenset(m for m in range(8) if not m & (1 << x)) for x in range(3)
     }
@@ -194,14 +190,14 @@ def test_powerset3_associated_primes_are_the_three_point_complements():
 
 def test_null_semigroup_has_single_associated_prime_s_itself():
     s = null_semigroup(4)
-    primes = [frozenset(p.members) for _, p in s.associated_primes()]
+    primes = [p for _, p in s.associated_primes()]
     assert primes == [frozenset(s.elements)]
 
 
 def test_group_with_zero_associated_primes():
     s = group_with_zero(3)
     # Ann(x) = {0} for x != 0, and {0} is prime here
-    primes = [frozenset(p.members) for _, p in s.associated_primes()]
+    primes = [p for _, p in s.associated_primes()]
     assert primes == [frozenset({0})]
 
 
@@ -209,12 +205,12 @@ def test_maximal_annihilators_are_prime_on_fixtures():
     for ex in ("ex3.4", "ex3.5", "ex3.8", "ex4.5"):
         s = builtin_example(ex)
         for _, ann in s.maximal_annihilators():
-            assert s.is_prime_ideal(ann.members)
+            assert s.is_prime_ideal(ann)
 
 
 def test_ass_of_ex34():
     s = builtin_example("ex3.4")
-    primes = {frozenset(p.members) for _, p in s.associated_primes()}
+    primes = {p for _, p in s.associated_primes()}
     assert primes == {frozenset({0, 1, 2, 3}), frozenset({0, 2, 4})}
 
 
@@ -241,13 +237,9 @@ def test_ideal_predicates_match_naive_definitions():
 def test_annihilators_and_minimal_ideals_match_naive_definitions():
     for s in iso_corpus():
         rows = s.table.entries
-        assert [
-            (x, ann.members) for x, ann in s.maximal_annihilators()
-        ] == naive_maximal_annihilators(rows)
-        assert [
-            (x, p.members) for x, p in s.associated_primes()
-        ] == naive_associated_primes(rows)
-        assert [m.members for m in s.minimal_ideals()] == naive_minimal_ideals(rows)
+        assert list(s.maximal_annihilators()) == naive_maximal_annihilators(rows)
+        assert list(s.associated_primes()) == naive_associated_primes(rows)
+        assert list(s.minimal_ideals()) == naive_minimal_ideals(rows)
 
 
 # -- prime decompositions of zero -------------------------------------------------
@@ -257,8 +249,7 @@ def test_powerset_decomposition_has_n_primes():
     for n in (2, 3):
         s = powerset_semigroup(n)
         dec = s.zero_prime_decomposition()
-        assert dec is not None and dec.minimal
-        assert len(dec.primes) == n
+        assert dec is not None and len(dec) == n
 
 
 def test_decomposition_matches_exhaustive_oracle_on_raw_tables():
@@ -274,7 +265,7 @@ def test_decomposition_matches_exhaustive_oracle_on_raw_tables():
             assert (dec is None) == (smallest is None)
             if dec is None:
                 continue
-            primes = [p.members for p in dec.primes]
+            primes = list(dec)
             assert set(primes) <= set(brute_prime_ideals(rows))
             assert frozenset.intersection(*primes) == {0}
             for i in range(len(primes)):
@@ -294,7 +285,7 @@ def test_decomposition_of_trivial_semigroup():
     s = validate(CayleyTable.from_rows([[0]]))
     dec = s.zero_prime_decomposition()
     assert dec is not None
-    assert [set(p.members) for p in dec.primes] == [{0}]
+    assert dec == (frozenset({0}),)
 
 
 # -- builders ---------------------------------------------------------------------
