@@ -12,16 +12,17 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from pathlib import Path
 
 from . import __version__
-from .catalog import builtin_example
+from .catalog import MAX_BUILTIN_ORDER, builtin_example
 from .enumeration import (
     EnumerationOptions,
     available_predicates,
     enumerate_semigroups,
     search,
 )
-from .errors import ValidationError, ZdgError
+from .errors import OrderTooLargeError, SgtFormatError, ValidationError, ZdgError
 from .graph import DEFAULT_CUTSET_CAP, adjacency_listing, gamma, gamma_bar, to_dot
 from .report import (
     graph_block,
@@ -34,21 +35,28 @@ from .report import (
 )
 from .semigroup import Semigroup, validate
 from .sgt import dumps, loads
-from .theorems import all_clauses, matches_selector, run_all
+from .theorems import matches_selector, run_all
 
 
 def _read_semigroup(source: str) -> Semigroup:
     """Resolve an input argument to a Semigroup. A file or standard input
-    is validated here; a builtin id comes validated from its builder."""
+    is read as UTF-8 .sgt text, its order bounded like a builtin's, and
+    validated here; a builtin id comes validated from its builder."""
     if source == "-":
-        return validate(loads(sys.stdin.read()))
-    looks_like_path = (
-        source.endswith(".sgt") or os.sep in source or source.startswith(".")
-    )
-    if looks_like_path or os.path.exists(source):
-        with open(source, "r", encoding="utf-8") as fh:
-            return validate(loads(fh.read()))
-    return builtin_example(source)
+        name, read = "standard input", sys.stdin.read
+    elif (source.endswith(".sgt") or os.sep in source or source.startswith(".")
+          or os.path.exists(source)):
+        name, read = source, lambda: Path(source).read_text(encoding="utf-8")
+    else:
+        return builtin_example(source)
+    try:
+        table = loads(read())
+    except UnicodeDecodeError as err:
+        raise SgtFormatError("%s is not UTF-8 text: %s" % (name, err)) from None
+    if table.order > MAX_BUILTIN_ORDER:
+        raise OrderTooLargeError("%s: order above %d, the largest an input may have"
+                                 % (name, MAX_BUILTIN_ORDER))
+    return validate(table)
 
 
 def _int_at_least(low: int):

@@ -106,7 +106,8 @@ def _assoc_full(n, t) -> bool:
     return True
 
 
-def _descend(n, cells, rank, watch, t, k, require_reduced):
+def _descend(n, cells, rank, watch, t, k, require_reduced, values=None):
+    """Complete tables from cell k on, cell k taking values (default: all)."""
     if k == len(cells):
         if _assoc_full(n, t):
             rows = [tuple(t[r * n:(r + 1) * n]) for r in range(n)]
@@ -114,7 +115,7 @@ def _descend(n, cells, rank, watch, t, k, require_reduced):
         return
     i, j = cells[k]
     ij, ji = i * n + j, j * n + i
-    for v in range(n):
+    for v in range(n) if values is None else values:
         if v == 0 and i == j and require_reduced:
             continue  # a zero square would make i nilpotent
         t[ij] = v
@@ -274,36 +275,19 @@ def canonical_form(s) -> CayleyTable:
     return CayleyTable(order=n, entries=entries, names=None)
 
 
-def _is_canonical(table: CayleyTable) -> bool:
-    return canonical_form(table).entries == table.entries
-
-
 def _generate(opts: EnumerationOptions, pinned: int | None = None):
+    """The tables for opts; only those with pinned in the first free cell if given."""
     n = opts.order
     cells = _cells(n)
     rank, watch = _prepare(n, cells)
-    t = [0] * (n * n)
-    if pinned is None or not cells:
-        gen = _descend(n, cells, rank, watch, t, 0, opts.require_reduced)
-    else:
-        i, j = cells[0]
-        if pinned == 0 and i == j and opts.require_reduced:
-            return
-        t[i * n + j] = pinned
-        t[j * n + i] = pinned
-        if not _watch_ok(n, t, rank, watch[0], 0):
-            return
-        gen = _descend(n, cells, rank, watch, t, 1, opts.require_reduced)
+    values = None if pinned is None else (pinned,)
+    gen = _descend(n, cells, rank, watch, [0] * (n * n), 0, opts.require_reduced, values)
     if opts.up_to_iso:
-        gen = (tb for tb in gen if _is_canonical(tb))
+        gen = (tb for tb in gen if canonical_form(tb).entries == tb.entries)
     yield from gen
 
 
-def _branch_entries(args):
-    order, pinned, up_to_iso, require_reduced = args
-    opts = EnumerationOptions(
-        order=order, up_to_iso=up_to_iso, require_reduced=require_reduced
-    )
+def _branch_entries(opts: EnumerationOptions, pinned: int):
     return [tb.entries for tb in _generate(opts, pinned)]
 
 
@@ -323,11 +307,8 @@ def enumerate_semigroups(opts: EnumerationOptions, workers: int = 1):
         for tb in gen:
             yield Semigroup(tb)
         return
-    args = [
-        (n, v, opts.up_to_iso, opts.require_reduced) for v in range(n)
-    ]
     with ProcessPoolExecutor(max_workers=min(workers, n)) as pool:
-        for chunk in pool.map(_branch_entries, args):
+        for chunk in pool.map(_branch_entries, [opts] * n, range(n)):
             for entries in chunk:
                 yield Semigroup(CayleyTable(order=n, entries=entries))
 

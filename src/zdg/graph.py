@@ -24,6 +24,9 @@ one-edge cuts. Minimal vertex cutsets are grown vertex by vertex and
 accepted by a local test: every cutset vertex has a neighbour in every
 component left; no set containing a cutset is grown further. The cut
 vertices are its one-vertex cutsets.
+
+Colourings are colour classes as position masks: first-fit classes bound
+the clique search, and χ is the least k from ω up with a k-colouring.
 """
 
 from __future__ import annotations
@@ -503,55 +506,45 @@ def bridges(g: Graph) -> tuple[tuple[int, int], ...]:
 # -- cliques and coloring -----------------------------------------------------
 
 
-def _greedy_color_order(g: Graph, cand_mask: int) -> tuple[list[int], list[int]]:
-    """Greedy color classes over the candidate set, ascending position.
-
-    Returns vertices sorted by color along with their 1-based color
-    numbers; used as the bound inside the clique search.
-    """
-    order: list[int] = []
-    colors: list[int] = []
-    color_masks: list[int] = []
-    v = 0
-    m = cand_mask
-    while m:
-        v = (m & -m).bit_length() - 1
-        m &= m - 1
-        for c, cm in enumerate(color_masks):
-            if not (cm & g._mask[v]):
-                color_masks[c] = cm | (1 << v)
+def _first_fit(g: Graph, order) -> list[int]:
+    """First-fit colour classes as position masks: each position of order
+    joins the first class with none of its neighbours, or opens one."""
+    classes: list[int] = []
+    for v in order:
+        for c, cls in enumerate(classes):
+            if not cls & g._mask[v]:
+                classes[c] = cls | 1 << v
                 break
         else:
-            color_masks.append(1 << v)
-    for c, cm in enumerate(color_masks, start=1):
-        mm = cm
-        while mm:
-            v = (mm & -mm).bit_length() - 1
-            mm &= mm - 1
-            order.append(v)
-            colors.append(c)
-    return order, colors
+            classes.append(1 << v)
+    return classes
 
 
 def _max_clique_positions(g: Graph) -> list[int]:
-    """Exact maximum clique by branch and bound with a coloring bound."""
+    """Exact maximum clique by branch and bound. A clique meets each
+    first-fit class of the candidates at most once, so a candidate of
+    class c (from 1) adds at most c; candidates go from the last class
+    back, each class from its highest position down."""
     best: list[int] = []
 
-    def expand(current: list[int], cand_mask: int):
+    def expand(current: list[int], cand: int):
         nonlocal best
-        if not cand_mask:
+        if not cand:
             if len(current) > len(best):
                 best = list(current)
             return
-        order, colors = _greedy_color_order(g, cand_mask)
-        for idx in range(len(order) - 1, -1, -1):
-            if len(current) + colors[idx] <= len(best):
-                return
-            v = order[idx]
-            current.append(v)
-            expand(current, cand_mask & g._mask[v])
-            current.pop()
-            cand_mask &= ~(1 << v)
+        classes = _first_fit(g, _positions(cand))
+        for c in range(len(classes), 0, -1):
+            cls = classes[c - 1]
+            while cls:
+                if len(current) + c <= len(best):
+                    return
+                v = cls.bit_length() - 1
+                cls ^= 1 << v
+                current.append(v)
+                expand(current, cand & g._mask[v])
+                current.pop()
+                cand &= ~(1 << v)
 
     if g.n:
         expand([], (1 << g.n) - 1)
@@ -570,67 +563,48 @@ def has_clique_of_size(g: Graph, k: int) -> bool:
     return clique_number(g)[0] >= k
 
 
-def _normalize_coloring(colors: list[int]) -> tuple[int, ...]:
-    # relabel color classes by first occurrence so output is canonical
-    remap: dict[int, int] = {}
-    out = []
-    for c in colors:
-        if c not in remap:
-            remap[c] = len(remap)
-        out.append(remap[c])
-    return tuple(out)
+def _k_coloring(g: Graph, k: int, order: list[int]) -> list[int] | None:
+    """Colour classes, as position masks, of a proper colouring with at
+    most k colours, or None. Each position of order tries the open
+    classes in turn, then one new class if fewer than k are open, so no
+    two branches differ by a renaming of colours. The first path tried
+    is first-fit, taken without backtracking if it needs at most k."""
+    classes: list[int] = []
 
-
-def _greedy_coloring(g: Graph, order: list[int]) -> list[int]:
-    colors = [-1] * g.n
-    for v in order:
-        used = {colors[w] for w in _positions(g._mask[v]) if colors[w] >= 0}
-        c = 0
-        while c in used:
-            c += 1
-        colors[v] = c
-    return colors
-
-
-def _try_k_coloring(g: Graph, k: int, order: list[int]) -> list[int] | None:
-    colors = [-1] * g.n
-
-    def place(idx: int, used: int) -> bool:
+    def place(idx: int) -> bool:
         if idx == len(order):
             return True
         v = order[idx]
-        banned = {colors[w] for w in _positions(g._mask[v]) if colors[w] >= 0}
-        # allowing at most one fresh color kills color-permutation symmetry
-        for c in range(min(used + 1, k)):
-            if c in banned:
-                continue
-            colors[v] = c
-            if place(idx + 1, max(used, c + 1)):
+        for c, cls in enumerate(classes):
+            if not cls & g._mask[v]:
+                classes[c] = cls | 1 << v
+                if place(idx + 1):
+                    return True
+                classes[c] = cls
+        if len(classes) < k:
+            classes.append(1 << v)
+            if place(idx + 1):
                 return True
-            colors[v] = -1
+            classes.pop()
         return False
 
-    return colors if place(0, 0) else None
+    return classes if place(0) else None
 
 
 def chromatic_number(g: Graph) -> tuple[int, tuple[int, ...]]:
-    """Exact chromatic number with a canonical witness coloring.
-
-    Iterative deepening from the clique lower bound up to the greedy
-    upper bound; vertices are tried in descending degree order.
-    """
-    if g.n == 0:
-        return 0, ()
+    """Exact chromatic number with a canonical witness colouring: the
+    least k from the clique number up with a k-colouring, searched in
+    descending degree order. The witness gives each position its colour,
+    classes numbered in the order of their least positions."""
     order = sorted(range(g.n), key=lambda v: (-g._mask[v].bit_count(), v))
-    lower = clique_number(g)[0]
-    greedy = _greedy_coloring(g, order)
-    upper = max(greedy) + 1
-    if lower < upper:
-        for k in range(max(lower, 1), upper):
-            attempt = _try_k_coloring(g, k, order)
-            if attempt is not None:
-                return k, _normalize_coloring(attempt)
-    return upper, _normalize_coloring(greedy)
+    k = clique_number(g)[0]
+    while (classes := _k_coloring(g, k, order)) is None:
+        k += 1
+    colors = [0] * g.n
+    for c, cls in enumerate(sorted(classes, key=lambda m: m & -m)):
+        for v in _positions(cls):
+            colors[v] = c
+    return k, tuple(colors)
 
 
 # -- complete multipartite recognition ---------------------------------------

@@ -84,8 +84,9 @@ def _check_shape(table: CayleyTable) -> None:
         if len(set(table.names)) != n:
             raise MalformedTableError("names must be distinct")
         for nm in table.names:
-            if not nm or any(c.isspace() for c in nm):
-                raise MalformedTableError("name %r is empty or contains whitespace" % (nm,))
+            # .sgt splits names at whitespace and drops what follows '#'
+            if not nm or "#" in nm or any(c.isspace() for c in nm):
+                raise MalformedTableError("name %r is empty or contains whitespace or '#'" % (nm,))
 
 
 def validate(table: CayleyTable, max_violations: int = 20) -> "Semigroup":
@@ -185,7 +186,7 @@ class Semigroup:
     def labels(self) -> tuple[str, ...]:
         if self.table.names is not None:
             return self.table.names
-        return ("0",) + tuple("x%d" % i for i in range(1, self.n))
+        return _default_names(self.n)
 
     def label(self, x: int) -> str:
         return self.labels[x]

@@ -3,7 +3,8 @@
 Layout: first line is the order n, an optional second line is
 "names: <n whitespace-separated labels>" (first label denotes zero),
 then n lines of n whitespace-separated element indices. '#' starts a
-comment, blank lines are ignored.
+comment, blank lines are ignored; so a label holds no whitespace and no
+'#', which validate enforces.
 """
 
 from __future__ import annotations

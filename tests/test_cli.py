@@ -122,6 +122,37 @@ def test_file_input_is_validated_once(tmp_path, capsys, validate_calls):
     assert len(validate_calls) == 1
 
 
+def null_sgt(n):
+    return "%d\n" % n + ("0 " * n + "\n") * n
+
+
+def test_file_of_order_33_exits_1_before_validation(tmp_path, capsys, validate_calls):
+    path = tmp_path / "null33.sgt"
+    path.write_text(null_sgt(33))
+    code, out, err = run_cli(capsys, "check", str(path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and "order above 32" in err
+    assert validate_calls == []
+
+
+def test_stdin_of_order_33_exits_1_before_validation(capsys, monkeypatch, validate_calls):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(null_sgt(33)))
+    code, out, err = run_cli(capsys, "check", "-")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and "order above 32" in err
+    assert validate_calls == []
+
+
+def test_file_of_order_32_is_accepted(tmp_path, capsys):
+    path = tmp_path / "null32.sgt"
+    path.write_text(null_sgt(32))
+    code, out, _ = run_cli(capsys, "validate", str(path))
+    assert code == 0
+    assert "order 32" in out
+
+
 def test_invariants_of_wheel_fixture(capsys):
     code, out, _ = run_cli(capsys, "invariants", "ex4.5")
     assert code == 0
@@ -170,7 +201,8 @@ def test_graph_dot_output(capsys):
 
 
 def test_graph_dot_escapes_quotes_and_backslashes(tmp_path, capsys):
-    # .sgt names may hold any non-space character; DOT quotes need escapes
+    # .sgt names may hold any character but whitespace and '#'; DOT quotes
+    # need escapes
     path = tmp_path / "quoted.sgt"
     path.write_text('3\nnames: 0 a"b c\\d\n0 0 0\n0 0 0\n0 0 0\n')
     code, out, _ = run_cli(capsys, "graph", str(path), "--format", "dot")
@@ -214,6 +246,24 @@ def test_validate_missing_file_exits_1(capsys):
     code, _, err = run_cli(capsys, "validate", "does/not/exist.sgt")
     assert code == 1
     assert "error:" in err
+
+
+def test_validate_non_utf8_file_exits_1(tmp_path, capsys):
+    path = tmp_path / "binary.sgt"
+    path.write_bytes(b"2\n0 0\n0 \xff\xfe\n")
+    code, out, err = run_cli(capsys, "validate", str(path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and "not UTF-8" in err
+
+
+def test_validate_non_utf8_stdin_exits_1(capsys, monkeypatch):
+    raw = io.BytesIO(b"2\n0 0\n0 \xff\xfe\n")
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(raw, encoding="utf-8"))
+    code, out, err = run_cli(capsys, "validate", "-")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and "not UTF-8" in err
 
 
 def test_validate_builtin_id(capsys):

@@ -100,6 +100,18 @@ def test_workers_preserve_serial_order():
     assert serial == parallel
 
 
+@pytest.mark.parametrize("flags, count", [
+    ({"up_to_iso": True}, 226),
+    ({"require_reduced": True}, 1709),
+    ({"up_to_iso": True, "require_reduced": True}, 90),
+])
+def test_workers_preserve_serial_order_at_order_5(flags, count):
+    opts = EnumerationOptions(order=5, **flags)
+    serial = [t.entries for t in tables(opts)]
+    assert len(serial) == count
+    assert [t.entries for t in tables(opts, workers=2)] == serial
+
+
 def test_order_bounds_are_enforced():
     with pytest.raises(OrderTooLargeError):
         EnumerationOptions(order=7)

@@ -7,6 +7,7 @@ import pytest
 
 from zdg import (
     DisconnectedError,
+    EnumerationOptions,
     Graph,
     TooFewVerticesError,
     bridges,
@@ -16,6 +17,7 @@ from zdg import (
     clique_number,
     complete_multipartite_partition,
     cut_vertices,
+    enumerate_semigroups,
     gamma,
     gamma_bar,
     girth,
@@ -117,8 +119,6 @@ def test_disconnected_metrics_use_infinity():
 
 
 def test_radius_diameter_inequality_on_corpus():
-    from zdg import EnumerationOptions, enumerate_semigroups
-
     for s in enumerate_semigroups(EnumerationOptions(order=5, up_to_iso=True)):
         g = gamma(s)
         if g.n == 0:
@@ -221,6 +221,53 @@ def test_ex45_clique_and_chromatic():
     for u, v in g.edges():
         assert coloring[pos[u]] != coloring[pos[v]]
     assert len(set(coloring)) == chi
+
+
+def grotzsch():
+    """The Mycielskian of C5: 11 vertices, 20 edges, triangle-free, χ = 4."""
+    edges = [(i, (i + 1) % 5) for i in range(5)]
+    edges += [(5 + i, j) for i in range(5) for j in ((i + 1) % 5, (i - 1) % 5)]
+    edges += [(5 + i, 10) for i in range(5)]
+    return Graph(range(11), edges)
+
+
+def test_grotzsch_graph_needs_two_colours_above_omega():
+    # ω = 2 and χ = 4: the searches for k = 2 and k = 3 both have to fail
+    g = grotzsch()
+    assert (g.n, g.edge_count) == (11, 20)
+    assert clique_number(g)[0] == 2
+    chi, coloring = chromatic_number(g)
+    assert chi == 4
+    assert all(coloring[u] != coloring[v] for u, v in g.edges())
+    assert len(set(coloring)) == 4
+
+
+def assert_witness_contract(g):
+    """The witnesses of clique_number and chromatic_number, by position."""
+    omega, clique = clique_number(g)
+    assert len(clique) == omega == len(set(clique))
+    assert all(g.has_edge(u, v) for u in clique for v in clique if u != v)
+    chi, coloring = chromatic_number(g)
+    assert len(coloring) == g.n
+    pos = {v: i for i, v in enumerate(g.vertices)}
+    assert all(coloring[pos[u]] != coloring[pos[v]] for u, v in g.edges())
+    assert len(set(coloring)) == chi
+    # colours are numbered by least vertex: c first appears before c + 1
+    first = [coloring.index(c) for c in range(chi)]
+    assert first == sorted(first)
+
+
+def test_witness_contract_on_the_oracle_graphs():
+    # the graphs test_07 checks against brute force, built the same way
+    rng = random.Random(20260819)
+    graphs = [random_graph(rng, max_n=8) for _ in range(200)]
+    for n in (2, 3, 4):
+        graphs.extend(
+            gamma(s) for s in enumerate_semigroups(EnumerationOptions(order=n))
+        )
+    graphs.append(grotzsch())
+    for g in graphs:
+        assert_witness_contract(g)
 
 
 def test_has_clique_of_size():

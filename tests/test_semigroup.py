@@ -348,3 +348,11 @@ def test_sgt_parses_comments_and_blank_lines():
     t = sgt.loads(text)
     assert t.order == 2
     assert t.names == ("0", "a")
+
+
+def test_names_with_a_comment_sign_are_rejected():
+    # .sgt drops everything after '#', so such a name could not be read back
+    t = CayleyTable.from_rows([[0, 0, 0], [0, 0, 0], [0, 0, 0]])
+    t = CayleyTable(order=3, entries=t.entries, names=("0", "a#1", "b"))
+    with pytest.raises(MalformedTableError, match="'#'"):
+        validate(t)
