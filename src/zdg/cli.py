@@ -37,6 +37,10 @@ from .semigroup import Semigroup, validate
 from .sgt import dumps, loads
 from .theorems import matches_selector, run_all
 
+# The vertex-cutset search visits up to C(n, <=cap) subsets: on the 30
+# vertices of Γ(powerset:5) it takes about 0.8 s at cap 6, 2.5 s at 7.
+MAX_CUTSET_CAP = 6
+
 
 def _read_semigroup(source: str) -> Semigroup:
     """Resolve an input argument to a Semigroup. A file or standard input
@@ -59,8 +63,9 @@ def _read_semigroup(source: str) -> Semigroup:
     return validate(table)
 
 
-def _int_at_least(low: int):
-    """An argparse type: an integer no smaller than low."""
+def _int_at_least(low: int, high: int | None = None):
+    """An argparse type: an integer no smaller than low and, if high is
+    given, no larger than high."""
 
     def parse(text: str) -> int:
         try:
@@ -70,6 +75,10 @@ def _int_at_least(low: int):
         if value < low:
             raise argparse.ArgumentTypeError(
                 "must be at least %d, got %d" % (low, value)
+            )
+        if high is not None and value > high:
+            raise argparse.ArgumentTypeError(
+                "must be at most %d, got %d" % (high, value)
             )
         return value
 
@@ -220,11 +229,11 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sp.add_argument(
         "--cutset-cap",
-        type=_int_at_least(1),
+        type=_int_at_least(1, MAX_CUTSET_CAP),
         default=DEFAULT_CUTSET_CAP,
         metavar="K",
-        help="largest cutset size searched, at least 1 (default %d)"
-        % DEFAULT_CUTSET_CAP,
+        help="largest cutset size searched, 1 to %d (default %d)"
+        % (MAX_CUTSET_CAP, DEFAULT_CUTSET_CAP),
     )
     sp.add_argument("--format", choices=("text", "report"), default="text")
     sp.set_defaults(fn=_cmd_check)

@@ -355,12 +355,11 @@ def _gamma_facts(s: Semigroup) -> Verdict:
             "dms-gamma-facts", applicable=False, holds=True,
             notes="graph has no vertices",
         )
-    m = metrics(g)
-    gi = m.girth
-    ok = m.connected and m.diameter <= 3 and (gi == 3 or gi == 4 or gi == math.inf)
+    diameter, gi = metrics(g).diameter, girth(g)
+    ok = g.is_connected() and diameter <= 3 and (gi == 3 or gi == 4 or gi == math.inf)
     return Verdict(
         "dms-gamma-facts", applicable=True, holds=ok,
-        witness={"vertices": g.n, "diameter": m.diameter, "girth": gi},
+        witness={"vertices": g.n, "diameter": diameter, "girth": gi},
         notes="connected, diameter <= 3, girth 3, 4 or infinite",
     )
 

@@ -42,10 +42,6 @@ class DisconnectedError(ZdgError):
     """Graph operation that needs a connected graph got a disconnected one."""
 
 
-class TooFewVerticesError(ZdgError):
-    """Graph operation got fewer vertices than it can work with."""
-
-
 class UnknownVertexError(ZdgError):
     """A vertex id outside the graph's vertex set was referenced."""
 

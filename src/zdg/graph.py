@@ -10,9 +10,10 @@ per vertex, and every traversal is the layered bitmask BFS of
 ``Graph._reach``: components, distances, girth, 2-colourability and the
 separator searches. A graph is immutable, so what it derives is computed
 at most once and kept on it: components, the BFS layers from every
-vertex, metrics, girth and the clique number. A semigroup likewise
-builds Γ and Γ̄ once (see ``Semigroup._gamma``), so every checker of one
-semigroup shares one graph and one metrics object.
+vertex, the distances and eccentricities of ``metrics``, girth and the
+clique number, each in one place. A semigroup likewise builds Γ and Γ̄
+once (see ``Semigroup._gamma``), so every checker of one semigroup
+shares one graph and one metrics object.
 
 The separator searches avoid trying every edge subset up to the cap,
 which costs E^cap. ``bonds`` is the one edge-separator search: a DFS
@@ -23,7 +24,8 @@ two sides; ``minimal_edge_cutsets`` is its cuts and ``bridges`` its
 one-edge cuts. Minimal vertex cutsets are grown vertex by vertex and
 accepted by a local test: every cutset vertex has a neighbour in every
 component left; no set containing a cutset is grown further. The cut
-vertices are its one-vertex cutsets.
+vertices are its one-vertex cutsets. A graph too small to split has
+empty answers, not errors.
 
 Colourings are colour classes as position masks: first-fit classes bound
 the clique search, and χ is the least k from ω up with a k-colouring.
@@ -35,7 +37,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import DisconnectedError, TooFewVerticesError, UnknownVertexError
+from .errors import DisconnectedError, UnknownVertexError
 
 INF = math.inf
 
@@ -260,7 +262,7 @@ class Graph:
                 for j in _positions(layer):
                     row[j] = d
             dist.append(tuple(row))
-        if len(self._components) > 1:
+        if not self.is_connected():
             ecc = (INF,) * n
             radius = diameter = INF
             dsum = (INF,) * n
@@ -276,9 +278,7 @@ class Graph:
             ecc=ecc,
             radius=radius,
             diameter=diameter,
-            girth=self._girth,
             distance_sum=dsum,
-            components=self.components(),
         )
 
     @cached_property
@@ -322,13 +322,7 @@ class GraphMetrics:
     ecc: tuple
     radius: float
     diameter: float
-    girth: float
     distance_sum: tuple
-    components: tuple
-
-    @property
-    def connected(self) -> bool:
-        return len(self.components) <= 1
 
 
 def girth(g: Graph) -> float:
@@ -337,7 +331,7 @@ def girth(g: Graph) -> float:
 
 
 def metrics(g: Graph) -> GraphMetrics:
-    """Distances, eccentricities, girth and components, computed once per graph."""
+    """Distances and eccentricities, computed once per graph."""
     return g._metrics
 
 
@@ -371,9 +365,6 @@ def median(g: Graph) -> frozenset[int]:
 def cut_vertices(g: Graph) -> frozenset[int]:
     """Articulation points of a connected graph, v with G-v disconnected:
     the members of its one-vertex cutsets."""
-    if g.n < 3:
-        _require_connected(g)
-        return frozenset()
     return frozenset(v for t in minimal_vertex_cutsets(g, 1) for v in t)
 
 
@@ -385,12 +376,11 @@ def minimal_vertex_cutsets(g: Graph, size_cap: int = DEFAULT_CUTSET_CAP) -> tupl
     component of G-T, and is never grown further, since no superset of a
     cutset is minimal. That local test is exact: such a t put back joins
     all the components, and a t missing some component C leaves C cut
-    off by T-t. A complete graph has no vertex cutsets at all.
+    off by T-t. A complete graph, and so any graph of fewer than 3
+    vertices, has no vertex cutsets at all.
     """
     _require_connected(g)
     n = g.n
-    if n < 3:
-        raise TooFewVerticesError("vertex cutsets need at least 3 vertices")
     cap = min(size_cap, n - 2)
     if cap < 1 or g.edge_count == n * (n - 1) // 2:
         return ()
@@ -433,7 +423,8 @@ def bonds(g: Graph, size_cap: int = DEFAULT_CUTSET_CAP):
     both sides induce connected subgraphs, so removing one leaves exactly
     two components. cut is the sorted tuple of sorted element pairs,
     sides the two element sets ordered by least element; pairs come
-    ordered by cut size, then cut.
+    ordered by cut size, then cut. A graph of fewer than 2 vertices has
+    no bonds.
 
     Fix a BFS spanning tree rooted at position 0. A 2-colouring with the
     root on the near side is determined by which tree edges it cuts, so a
@@ -447,7 +438,7 @@ def bonds(g: Graph, size_cap: int = DEFAULT_CUTSET_CAP):
     _require_connected(g)
     n = g.n
     if n < 2:
-        raise TooFewVerticesError("edge cutsets need at least 2 vertices")
+        return ()
     masks = g._mask
     order = [v for layer in g._bfs_layers[0] for v in _positions(layer)]
     # placed[k]: the first k vertices of order; earlier[k]: the
@@ -500,7 +491,7 @@ def minimal_edge_cutsets(g: Graph, size_cap: int = DEFAULT_CUTSET_CAP) -> tuple[
 def bridges(g: Graph) -> tuple[tuple[int, int], ...]:
     """Bridge edges of a connected graph, as sorted element pairs: the
     edges of its one-edge bonds."""
-    return tuple(cut[0] for cut, _ in bonds(g, 1)) if g.n >= 2 else ()
+    return tuple(cut[0] for cut, _ in bonds(g, 1))
 
 
 # -- cliques and coloring -----------------------------------------------------

@@ -17,6 +17,7 @@ from .graph import (
     clique_number,
     complete_multipartite_partition,
     gamma,
+    girth,
     median,
     metrics,
 )
@@ -107,13 +108,13 @@ def invariants_block(s) -> dict:
         "graph": {
             "vertices": g.n,
             "edges": g.edge_count,
-            "connected": m.connected,
+            "connected": g.is_connected(),
             "radius": m.radius,
             "diameter": m.diameter,
-            "girth": m.girth,
+            "girth": girth(g),
         },
-        "center": sorted(center(g)) if g.n else [],
-        "median": sorted(median(g)) if g.n else [],
+        "center": sorted(center(g)),
+        "median": sorted(median(g)),
         "omega": omega,
         "clique": list(clique),
         "chi": chi,
@@ -151,33 +152,17 @@ def _fmt_value(s, val):
 
 
 def invariants_text(s) -> str:
-    """Key = value lines covering the same ground as invariants_block."""
-    b = invariants_block(s)
-    dec = b["decomposition"]
-    rows = [
-        ("order", b["order"]),
-        ("zero_divisors", b["zero_divisors"]),
-        ("nilpotents", b["nilpotents"]),
-        ("reduced", b["reduced"]),
-        ("vertices", b["graph"]["vertices"]),
-        ("edges", b["graph"]["edges"]),
-        ("connected", b["graph"]["connected"]),
-        ("radius", b["graph"]["radius"]),
-        ("diameter", b["graph"]["diameter"]),
-        ("girth", b["graph"]["girth"]),
-        ("center", b["center"]),
-        ("median", b["median"]),
-        ("omega", b["omega"]),
-        ("clique", b["clique"]),
-        ("chi", b["chi"]),
-        ("partition", b["partition"]),
-        ("associated_primes", b["associated_primes"]),
-        ("decomposition", dec["primes"] if dec else None),
-    ]
-    lines = ["%s = %s" % (key, _fmt_value(s, val)) for key, val in rows]
-    if dec:
-        lines.append("decomposition_minimal = %s" % _fmt_value(s, dec["minimal"]))
-    return "\n".join(lines) + "\n"
+    """Key = value lines for invariants_block in key order: the graph
+    keys inline, the names left out, the decomposition as its primes."""
+    rows = []
+    for key, val in invariants_block(s).items():
+        if key == "graph":
+            rows += val.items()
+        elif key == "decomposition" and val:
+            rows += [(key, val["primes"]), ("decomposition_minimal", val["minimal"])]
+        elif key != "names":
+            rows.append((key, val))
+    return "".join("%s = %s\n" % (key, _fmt_value(s, val)) for key, val in rows)
 
 
 def verdict_rows(clauses) -> str:

@@ -97,11 +97,10 @@ def check_nilpotent_subgraph(s) -> Verdict:
         )
     else:
         sub = gamma(s).induced(nstar)
-        m = metrics(sub)
+        connected, diameter = sub.is_connected(), metrics(sub).diameter
         clause = _v(
-            "prop-2.1-nilpotent-subgraph", True,
-            m.connected and m.diameter <= 2,
-            {"nilpotents": nstar, "connected": m.connected, "diameter": m.diameter},
+            "prop-2.1-nilpotent-subgraph", True, connected and diameter <= 2,
+            {"nilpotents": nstar, "connected": connected, "diameter": diameter},
             "induced subgraph on nonzero nilpotents is connected with diameter <= 2",
         )
     return _composite("nilpotent-subgraph", [clause])
@@ -148,7 +147,7 @@ def check_cut_structures(s, size_cap: int = DEFAULT_CUTSET_CAP) -> Verdict:
         raise ValueError("size_cap must be at least 1, got %r" % (size_cap,))
     g = gamma(s)
     clauses = []
-    vcs = minimal_vertex_cutsets(g, size_cap) if g.n >= 3 else ()
+    vcs = minimal_vertex_cutsets(g, size_cap)
 
     cvs = [x for t in vcs if len(t) == 1 for x in t]
     if not cvs:
@@ -158,7 +157,7 @@ def check_cut_structures(s, size_cap: int = DEFAULT_CUTSET_CAP) -> Verdict:
         ok = True
         for x in cvs:
             ideal_ok = s._is_ideal({0, x})
-            adj_all = all(g.has_edge(x, y) for y in g.vertices if y != x)
+            adj_all = g.degree(x) == g.n - 1
             in_sx = x in _orbit(s, x)
             recs.append({
                 "vertex": x,
@@ -190,7 +189,7 @@ def check_cut_structures(s, size_cap: int = DEFAULT_CUTSET_CAP) -> Verdict:
             "every minimal vertex cutset with 0 forms an ideal",
         ))
 
-    ecs = bonds(g, size_cap) if g.n >= 2 and g.edge_count else ()
+    ecs = bonds(g, size_cap)
     if not ecs:
         clauses.append(_v(
             "cor-2.6-minimal-edge-cutsets", False, True,
@@ -249,7 +248,7 @@ def check_bridge(s) -> Verdict:
     two_ok = True
     leaf_ok = True
     minimal_members = None
-    for ((x, y),), sides in bonds(g, 1) if g.n >= 2 else ():
+    for ((x, y),), sides in bonds(g, 1):
         sizes = {v: len(next(c for c in sides if v in c)) for v in (x, y)}
         if sizes[x] >= 2 and sizes[y] >= 2:
             if minimal_members is None:
@@ -383,30 +382,14 @@ def check_ass_properties(s) -> Verdict:
 # -- complete multipartite structure -------------------------------------------
 
 
-def _partition_conclusions(s, parts, zstar):
-    """Part+0 ideal and complement-of-part prime, for every part."""
-    recs = []
-    ok = True
-    for pv in parts:
-        vset = set(pv)
-        ideal_ok = s._is_ideal(vset | {0})
-        prime_ok = s._is_prime_ideal((zstar - vset) | {0})
-        recs.append({
-            "part": sorted(vset),
-            "part_ideal": ideal_ok,
-            "complement_prime": prime_ok,
-        })
-        ok = ok and ideal_ok and prime_ok
-    return ok, recs
-
-
 def check_rpartite(s) -> Verdict:
-    """Complete multipartite graphs reflect into ideal structure."""
+    """Complete multipartite graphs reflect into ideal structure. rem-3.2a's
+    hypothesis, no nonzero square is 0, is reducedness: if x^k = 0 with
+    k >= 2 least, x^(k-1) is nonzero and squares to 0."""
     g = gamma(s)
     parts = complete_multipartite_partition(g) or None
-    zstar = set(g.vertices)
+    partition = [sorted(p) for p in parts] if parts else None
     reduced = s.is_reduced()
-    squares_nonzero = all(s._rows[x][x] != 0 for x in range(1, s.n))
     part_sizes = sorted(len(p) for p in parts) if parts else None
     clauses = []
 
@@ -420,40 +403,41 @@ def check_rpartite(s) -> Verdict:
             "rem-3.2a-weakened-hypothesis", False, True, na,
             "graph is empty or not complete multipartite",
         ))
+    elif not reduced:
+        clauses.append(_v(
+            "thm-3.1-parts-ideals-primes", False, True,
+            {"partition": partition, "reduced": False},
+            "semigroup is not reduced",
+        ))
+        clauses.append(_v(
+            "rem-3.2a-weakened-hypothesis", False, True,
+            {"partition": partition, "squares_nonzero": False},
+            "some nonzero element squares to zero",
+        ))
     else:
-        witness_parts = [sorted(p) for p in parts]
-        if reduced or squares_nonzero:
-            ok, recs = _partition_conclusions(s, parts, zstar)
-        if not reduced:
-            clauses.append(_v(
-                "thm-3.1-parts-ideals-primes", False, True,
-                {"partition": witness_parts, "reduced": False},
-                "semigroup is not reduced",
-            ))
-        else:
-            clauses.append(_v(
-                "thm-3.1-parts-ideals-primes", True, ok, {"parts": recs},
-                "reduced and complete multipartite: each part with 0 is an "
-                "ideal and each complement is a prime ideal",
-            ))
-        if not squares_nonzero:
-            clauses.append(_v(
-                "rem-3.2a-weakened-hypothesis", False, True,
-                {"partition": witness_parts, "squares_nonzero": False},
-                "some nonzero element squares to zero",
-            ))
-        else:
-            clauses.append(_v(
-                "rem-3.2a-weakened-hypothesis", True, ok, {"parts": recs},
-                "nonzero squares stay nonzero: the partition conclusions "
-                "follow as under reducedness",
-            ))
+        zstar = frozenset(g.vertices)
+        recs = [
+            {"part": sorted(p), "part_ideal": s._is_ideal(p | {0}),
+             "complement_prime": s._is_prime_ideal((zstar - p) | {0})}
+            for p in parts
+        ]
+        ok = all(r["part_ideal"] and r["complement_prime"] for r in recs)
+        clauses.append(_v(
+            "thm-3.1-parts-ideals-primes", True, ok, {"parts": recs},
+            "reduced and complete multipartite: each part with 0 is an "
+            "ideal and each complement is a prime ideal",
+        ))
+        clauses.append(_v(
+            "rem-3.2a-weakened-hypothesis", True, ok, {"parts": recs},
+            "nonzero squares stay nonzero: the partition conclusions "
+            "follow as under reducedness",
+        ))
 
     if reduced and g.n >= 1 and g.is_bipartite():
         clauses.append(_v(
             "rem-3.2b-complete-bipartite", True,
             parts is not None and len(parts) == 2,
-            {"partition": [sorted(p) for p in parts] if parts else None},
+            {"partition": partition},
             "a reduced semigroup with bipartite graph has a complete "
             "bipartite graph",
         ))
@@ -523,10 +507,7 @@ def check_rpartite(s) -> Verdict:
             "needs a complete multipartite graph with every part of size >= 2",
         ))
 
-    return _composite(
-        "rpartite", clauses,
-        {"partition": [sorted(p) for p in parts] if parts else None},
-    )
+    return _composite("rpartite", clauses, {"partition": partition})
 
 
 # -- chromatic and clique numbers ----------------------------------------------

@@ -12,7 +12,7 @@ import math
 import random
 from collections import deque
 
-from zdg import CayleyTable, DisconnectedError, Graph, TooFewVerticesError
+from zdg import CayleyTable, DisconnectedError, Graph
 
 
 def brute_chromatic_number(g) -> int:
@@ -166,8 +166,6 @@ def brute_minimal_vertex_cutsets(g, size_cap):
     """
     if not g.is_connected():
         raise DisconnectedError("operation needs a connected graph")
-    if g.n < 3:
-        raise TooFewVerticesError("vertex cutsets need at least 3 vertices")
     nbrs = _neighbor_lists(g)
     found = []
     for size in range(1, min(size_cap, g.n - 2) + 1):
@@ -214,8 +212,6 @@ def brute_minimal_edge_cutsets(g, size_cap):
     """
     if not g.is_connected():
         raise DisconnectedError("operation needs a connected graph")
-    if g.n < 2:
-        raise TooFewVerticesError("edge cutsets need at least 2 vertices")
     all_edges = g.edges()
     nbrs = _neighbor_lists(g)
     found = []

@@ -11,7 +11,6 @@ from zdg import (
     clique_number,
     gamma,
     gamma_bar,
-    girth,
     metrics,
     report,
     run_all,
@@ -26,7 +25,6 @@ def test_gamma_and_its_invariants_are_computed_once():
     assert gamma_bar(s) is gamma_bar(s)
     assert metrics(g) is metrics(g)
     assert clique_number(g) is clique_number(g)
-    assert girth(g) == metrics(g).girth
     assert s.associated_primes() is s.associated_primes()
     assert s.maximal_annihilators() is s.maximal_annihilators()
 
@@ -57,13 +55,13 @@ def test_cached_values_are_immutable():
     with pytest.raises(dataclasses.FrozenInstanceError):
         m.radius = 0
     tuples = (
-        m.dist, m.ecc, m.distance_sum, m.components, clique_number(g),
+        m.dist, m.ecc, m.distance_sum, clique_number(g),
         clique_number(g)[1], g.components(), s.associated_primes(),
         s.maximal_annihilators(),
     )
     assert all(isinstance(t, tuple) for t in tuples)
     assert all(isinstance(row, tuple) for row in m.dist)
-    assert all(isinstance(c, frozenset) for c in m.components + g.components())
+    assert all(isinstance(c, frozenset) for c in g.components())
     for _, prime in s.associated_primes() + s.maximal_annihilators():
         assert isinstance(prime, frozenset)
 

@@ -315,6 +315,20 @@ def test_check_cutset_cap_below_one_is_usage_error(capsys):
     assert "--cutset-cap: must be at least 1" in capsys.readouterr().err
 
 
+def test_check_cutset_cap_above_six_is_usage_error(capsys):
+    # the vertex-cutset search grows as C(n, <=cap); the flag stops at 6
+    with pytest.raises(SystemExit) as info:
+        main(["check", "ex3.4", "--cutset-cap", "7"])
+    assert info.value.code == 2
+    assert "--cutset-cap: must be at most 6" in capsys.readouterr().err
+
+
+def test_check_cutset_cap_six_is_accepted(capsys):
+    code, out, _ = run_cli(capsys, "check", "ex3.4", "--cutset-cap", "6")
+    assert code == 0
+    assert " 0 fail," in out
+
+
 def test_check_stdin(capsys, monkeypatch):
     _, table_text, _ = run_cli(capsys, "example", "powerset:2")
     monkeypatch.setattr(sys, "stdin", io.StringIO(table_text))

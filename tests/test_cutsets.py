@@ -124,6 +124,25 @@ def test_cutsets_need_a_connected_graph():
         minimal_vertex_cutsets(g)
 
 
+def test_separators_of_tiny_graphs_are_empty_answers():
+    # too few vertices to split is an empty answer, not an error; the
+    # one-edge graph keeps its bond and bridge
+    empty, point, edge = Graph((), ()), Graph([0], ()), Graph([0, 1], [(0, 1)])
+    for g in (empty, point, edge):
+        assert minimal_vertex_cutsets(g) == ()
+        assert cut_vertices(g) == frozenset()
+        for cap in CAPS:
+            assert minimal_vertex_cutsets(g, cap) == brute_minimal_vertex_cutsets(g, cap)
+            assert minimal_edge_cutsets(g, cap) == brute_minimal_edge_cutsets(g, cap)
+    for g in (empty, point):
+        assert bonds(g) == ()
+        assert minimal_edge_cutsets(g) == ()
+        assert bridges(g) == ()
+    assert bonds(edge) == ((((0, 1),), (frozenset({0}), frozenset({1}))),)
+    assert minimal_edge_cutsets(edge) == (((0, 1),),)
+    assert bridges(edge) == ((0, 1),)
+
+
 # -- pins beyond brute-force reach ----------------------------------------------
 
 

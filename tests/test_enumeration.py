@@ -92,6 +92,23 @@ def test_require_reduced_postcondition():
     assert seen == 85
 
 
+def test_reduced_means_no_nonzero_square_is_zero():
+    # if x^k = 0 with k >= 2 least, x^(k-1) is nonzero and squares to 0: so
+    # rem-3.2a's hypothesis is reducedness, and require_reduced, which
+    # prunes on zero squares, keeps exactly the reduced raw tables
+    for order, count in ((2, 1), (3, 7), (4, 85), (5, 1709)):
+        reduced = []
+        for s in enumerate_semigroups(EnumerationOptions(order=order)):
+            rows = s.table.entries
+            squares_nonzero = all(rows[x][x] != 0 for x in range(1, order))
+            assert s.is_reduced() == squares_nonzero
+            if squares_nonzero:
+                reduced.append(rows)
+        assert len(reduced) == count
+        opts = EnumerationOptions(order=order, require_reduced=True)
+        assert [t.entries for t in tables(opts)] == reduced
+
+
 def test_workers_preserve_serial_order():
     serial = [t.entries for t in tables(EnumerationOptions(order=4))]
     parallel = [

@@ -118,6 +118,21 @@ def test_oracles_import_only_containers_and_errors_from_zdg():
     assert found == []
 
 
+def test_every_error_class_is_raised_in_the_package():
+    # an error class nothing raises is dead API that callers still catch;
+    # ZdgError is the base class, caught rather than raised
+    raised = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        raised |= {
+            node.exc.func.id
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+            and isinstance(node.exc.func, ast.Name)
+        }
+    assert sorted(_error_classes() - {"ZdgError"} - raised) == []
+
+
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
 
