@@ -126,13 +126,12 @@ def _cmd_invariants(args) -> int:
 
 def _cmd_check(args) -> int:
     s = _read_semigroup(args.input)
-    verdicts = run_all(s, size_cap=args.cutset_cap)
-    picked = []
-    for composite in verdicts:
-        whole = matches_selector(composite.theorem_id, args.theorem)
-        for clause in composite.clauses:
-            if whole or matches_selector(clause.theorem_id, args.theorem):
-                picked.append(clause)
+    picked = [
+        c
+        for name, clauses in run_all(s, size_cap=args.cutset_cap).items()
+        for c in clauses
+        if matches_selector(name, args.theorem) or matches_selector(c.theorem_id, args.theorem)
+    ]
     if args.format == "report":
         block = {
             "selector": args.theorem,
@@ -225,7 +224,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument(
         "--theorem",
         default="all",
-        help="clause selector: a number like 2.2, a full clause id, or all",
+        help="clause selector: a number like 2.2, a check name like "
+        "chromatic, a full clause id, or all",
     )
     sp.add_argument(
         "--cutset-cap",

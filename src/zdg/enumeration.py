@@ -34,10 +34,9 @@ from .graph import (
     cut_vertices,
     gamma,
     girth,
-    metrics,
 )
 from .semigroup import CayleyTable, Semigroup
-from .theorems import Verdict, all_clauses, run_all
+from .theorems import check_gamma_facts, run_all
 
 MIN_ORDER = 2
 MAX_ORDER = 6
@@ -343,37 +342,14 @@ class AuditReport:
         return not self.counterexamples
 
 
-def _gamma_facts(s: Semigroup) -> Verdict:
-    """Background facts every zero-divisor graph satisfies.
-
-    Connectedness with diameter <= 3 and girth in {3, 4, infinity} are
-    classical; auditing them guards the graph layer itself.
-    """
-    g = gamma(s)
-    if g.n == 0:
-        return Verdict(
-            "dms-gamma-facts", applicable=False, holds=True,
-            notes="graph has no vertices",
-        )
-    diameter, gi = metrics(g).diameter, girth(g)
-    ok = g.is_connected() and diameter <= 3 and (gi == 3 or gi == 4 or gi == math.inf)
-    return Verdict(
-        "dms-gamma-facts", applicable=True, holds=ok,
-        witness={"vertices": g.n, "diameter": diameter, "girth": gi},
-        notes="connected, diameter <= 3, girth 3, 4 or infinite",
-    )
-
-
 def audit(opts: EnumerationOptions, size_cap: int = DEFAULT_CUTSET_CAP, workers: int = 1) -> AuditReport:
-    """Run every structure check across an enumerated corpus."""
+    """Run every structure check and the background facts over a corpus."""
     tallies: dict[str, list[int]] = {}
     counterexamples = []
     total = 0
     for s in enumerate_semigroups(opts, workers=workers):
         total += 1
-        clauses = list(all_clauses(run_all(s, size_cap)))
-        clauses.append(_gamma_facts(s))
-        for c in clauses:
+        for c in itertools.chain(*run_all(s, size_cap).values(), check_gamma_facts(s)):
             row = tallies.setdefault(c.theorem_id, [0, 0, 0])
             if not c.applicable:
                 continue
@@ -420,11 +396,13 @@ def _pred_reduced(s, g, arg):
     return s.is_reduced()
 
 
+# Each predicate with the least integer argument some graph can meet, or
+# None when it takes no argument; girth also takes "inf".
 _PREDICATES = {
-    "complete-rpartite": (_pred_complete_rpartite, "int"),
+    "complete-rpartite": (_pred_complete_rpartite, 1),
     "has-bridge": (_pred_has_bridge, None),
     "has-cut-vertex": (_pred_has_cut_vertex, None),
-    "girth": (_pred_girth, "int-or-inf"),
+    "girth": (_pred_girth, 3),
     "chi-omega-gap": (_pred_chi_omega_gap, None),
     "reduced": (_pred_reduced, None),
 }
@@ -441,12 +419,12 @@ def _parse_predicate(spec: str):
             "unknown predicate %r; available: %s"
             % (name, ", ".join(available_predicates()))
         )
-    fn, kind = _PREDICATES[name]
+    fn, least = _PREDICATES[name]
     arg = None
     if sep:
-        if kind is None:
+        if least is None:
             raise UnknownPredicateError("predicate %r takes no argument" % name)
-        if kind == "int-or-inf" and raw == "inf":
+        if name == "girth" and raw == "inf":
             arg = math.inf
         else:
             try:
@@ -455,6 +433,11 @@ def _parse_predicate(spec: str):
                 raise UnknownPredicateError(
                     "predicate %r needs an integer argument, got %r" % (name, raw)
                 ) from None
+            if arg < least:
+                raise UnknownPredicateError(
+                    "predicate %r can match no graph with argument %d; it "
+                    "must be at least %d" % (name, arg, least)
+                )
     elif name == "girth":
         raise UnknownPredicateError(
             "predicate 'girth' needs an argument, e.g. girth:4 or girth:inf"

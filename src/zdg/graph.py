@@ -134,12 +134,6 @@ class Graph:
         es = [(u, v) for (u, v) in self.edges() if u in keep_set and v in keep_set]
         return Graph(keep, es, label_map)
 
-    def complement(self) -> "Graph":
-        full = (1 << self.n) - 1
-        return self._with_masks(
-            full & ~m & ~(1 << i) for i, m in enumerate(self._mask)
-        )
-
     # -- the BFS core --------------------------------------------------------
 
     @cached_property

@@ -62,7 +62,7 @@ def graph_block(g) -> dict:
 
 
 def verdict_block(v) -> dict:
-    out = {
+    return {
         "id": v.theorem_id,
         "applicable": v.applicable,
         "holds": v.holds,
@@ -70,9 +70,6 @@ def verdict_block(v) -> dict:
         "notes": v.notes,
         "witness": v.witness,
     }
-    if v.clauses:
-        out["clauses"] = [verdict_block(c) for c in v.clauses]
-    return out
 
 
 def audit_block(rep) -> dict:

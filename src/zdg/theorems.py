@@ -1,10 +1,11 @@
 """Structure checks tying graph shape to ideal structure.
 
-Every check inspects one concrete semigroup and returns a Verdict whose
-witness contains enough data to re-verify the claim with the primitive
-operations alone. Identifiers such as "thm-2.2-median" are stable
+Every check inspects one concrete semigroup and returns a tuple of
+clause verdicts, each with a witness holding enough data to re-verify
+the clause with the primitive operations alone. Clause ids such as
+"thm-2.2-median" and check names such as "chromatic" are stable
 interface strings used by the command line, reports and the corpus
-audit; a composite check groups several clause verdicts.
+audit.
 
 Three clauses verify a weakened form of the classical statement because
 the literal form fails on small valid tables (a witness is recorded for
@@ -14,6 +15,7 @@ side of the bridge clause, and the all-parts-at-least-two clause.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .graph import (
@@ -34,9 +36,9 @@ from .graph import (
 
 @dataclass(frozen=True)
 class Verdict:
-    """Outcome of one structure check.
+    """Outcome of one clause of a structure check.
 
-    holds is forced to True whenever the check is not applicable, so a
+    holds is forced to True whenever the clause is not applicable, so a
     vacuous verdict can never read as a failure; failed is the one flag
     audits need.
     """
@@ -46,15 +48,10 @@ class Verdict:
     holds: bool
     witness: dict = field(default_factory=dict)
     notes: str = ""
-    clauses: tuple = ()
 
     @property
     def failed(self) -> bool:
         return self.applicable and not self.holds
-
-    @property
-    def vacuous(self) -> bool:
-        return not self.applicable
 
 
 def _v(theorem_id, applicable, holds, witness=None, notes=""):
@@ -67,18 +64,6 @@ def _v(theorem_id, applicable, holds, witness=None, notes=""):
     )
 
 
-def _composite(theorem_id, clauses, witness=None, notes=""):
-    clauses = tuple(clauses)
-    return Verdict(
-        theorem_id=theorem_id,
-        applicable=any(c.applicable for c in clauses),
-        holds=all(c.holds for c in clauses),
-        witness=witness or {},
-        notes=notes,
-        clauses=clauses,
-    )
-
-
 def _orbit(s, x) -> set[int]:
     """Sx = {rx : r in S}, the entries of row x (S is commutative)."""
     return set(s._rows[x])
@@ -87,7 +72,7 @@ def _orbit(s, x) -> set[int]:
 # -- nilpotent subgraph -------------------------------------------------------
 
 
-def check_nilpotent_subgraph(s) -> Verdict:
+def check_nilpotent_subgraph(s) -> tuple[Verdict, ...]:
     """Nonzero nilpotents must induce a connected subgraph of diameter <= 2."""
     nstar = list(s._nilpotent_tuple[1:])
     if not nstar:
@@ -103,24 +88,24 @@ def check_nilpotent_subgraph(s) -> Verdict:
             {"nilpotents": nstar, "connected": connected, "diameter": diameter},
             "induced subgraph on nonzero nilpotents is connected with diameter <= 2",
         )
-    return _composite("nilpotent-subgraph", [clause])
+    return (clause,)
 
 
 # -- median and center --------------------------------------------------------
 
 
-def check_median_center_ideals(s) -> Verdict:
+def check_median_center_ideals(s) -> tuple[Verdict, ...]:
     """Median and center vertex sets, each joined with 0, must be ideals."""
     g = gamma(s)
     if g.n == 0:
         empty = {"vertices": []}
-        return _composite("median-center", [
+        return (
             _v("thm-2.2-median", False, True, empty, "graph has no vertices"),
             _v("thm-2.4-center", False, True, empty, "graph has no vertices"),
-        ])
+        )
     med = sorted(median(g))
     cen = sorted(center(g))
-    return _composite("median-center", [
+    return (
         _v(
             "thm-2.2-median", True, s._is_ideal(set(med) | {0}),
             {"median": med},
@@ -131,13 +116,13 @@ def check_median_center_ideals(s) -> Verdict:
             {"center": cen},
             "center vertices with 0 form an ideal",
         ),
-    ])
+    )
 
 
 # -- cut vertices and cutsets -------------------------------------------------
 
 
-def check_cut_structures(s, size_cap: int = DEFAULT_CUTSET_CAP) -> Verdict:
+def check_cut_structures(s, size_cap: int = DEFAULT_CUTSET_CAP) -> tuple[Verdict, ...]:
     """Separator structure: cut vertices, vertex cutsets, edge cutsets.
 
     The cut vertices are read off the one-vertex cutsets of the one
@@ -234,13 +219,13 @@ def check_cut_structures(s, size_cap: int = DEFAULT_CUTSET_CAP) -> Verdict:
             "(per-side literal ideal outcomes are witness data only)",
         ))
 
-    return _composite("cut-structures", clauses)
+    return tuple(clauses)
 
 
 # -- bridges ------------------------------------------------------------------
 
 
-def check_bridge(s) -> Verdict:
+def check_bridge(s) -> tuple[Verdict, ...]:
     """Bridge edges force tiny ideals around their endpoints."""
     g = gamma(s)
     two_recs = []
@@ -281,7 +266,7 @@ def check_bridge(s) -> Verdict:
                     "literal_triple_ideal": literal,
                 })
                 leaf_ok = leaf_ok and ok
-    clauses = [
+    return (
         _v(
             "thm-2.5-bridge-two-sided", bool(two_recs), two_ok,
             {"bridges": two_recs},
@@ -295,14 +280,13 @@ def check_bridge(s) -> Verdict:
             "{0,w,z} being an ideal is required only when the graph is that "
             "single edge (otherwise recorded as witness data)",
         ),
-    ]
-    return _composite("bridges", clauses)
+    )
 
 
 # -- annihilators and associated primes ----------------------------------------
 
 
-def check_ass_properties(s) -> Verdict:
+def check_ass_properties(s) -> tuple[Verdict, ...]:
     """Maximal annihilators are prime; associated primes shape the graph."""
     clauses = []
 
@@ -376,13 +360,13 @@ def check_ass_properties(s) -> Verdict:
             "(a non-planarity witness)",
         ))
 
-    return _composite("associated-primes", clauses, {"ass_count": k})
+    return tuple(clauses)
 
 
 # -- complete multipartite structure -------------------------------------------
 
 
-def check_rpartite(s) -> Verdict:
+def check_rpartite(s) -> tuple[Verdict, ...]:
     """Complete multipartite graphs reflect into ideal structure. rem-3.2a's
     hypothesis, no nonzero square is 0, is reducedness: if x^k = 0 with
     k >= 2 least, x^(k-1) is nonzero and squares to 0."""
@@ -507,13 +491,13 @@ def check_rpartite(s) -> Verdict:
             "needs a complete multipartite graph with every part of size >= 2",
         ))
 
-    return _composite("rpartite", clauses, {"partition": partition})
+    return tuple(clauses)
 
 
 # -- chromatic and clique numbers ----------------------------------------------
 
 
-def check_chromatic(s) -> Verdict:
+def check_chromatic(s) -> tuple[Verdict, ...]:
     """Coloring facts, tied to prime decompositions of zero."""
     g = gamma(s)
     chi = chromatic_number(g)[0]
@@ -522,7 +506,7 @@ def check_chromatic(s) -> Verdict:
     k = len(dec) if dec is not None else None
     reduced = s.is_reduced()
 
-    clauses = [
+    return (
         _v(
             "fact-chi-ge-omega", True, omega <= chi,
             {"chi": chi, "omega": omega},
@@ -554,51 +538,61 @@ def check_chromatic(s) -> Verdict:
             {"chi": chi, "omega": omega},
             "for n <= 2, chi = n exactly when omega = n",
         ),
-    ]
-    return _composite(
-        "chromatic", clauses,
-        {"chi": chi, "omega": omega, "prime_count": k},
     )
+
+
+# -- background facts -----------------------------------------------------------
+
+
+def check_gamma_facts(s) -> tuple[Verdict, ...]:
+    """Background facts every zero-divisor graph satisfies.
+
+    Connectedness with diameter <= 3 and girth in {3, 4, infinity} are
+    classical; auditing them guards the graph layer itself. The corpus
+    audit runs this check; run_all leaves it out.
+    """
+    g = gamma(s)
+    if g.n == 0:
+        return (_v("dms-gamma-facts", False, True, notes="graph has no vertices"),)
+    diameter, gi = metrics(g).diameter, girth(g)
+    return (_v(
+        "dms-gamma-facts", True,
+        g.is_connected() and diameter <= 3 and (gi == 3 or gi == 4 or gi == math.inf),
+        {"vertices": g.n, "diameter": diameter, "girth": gi},
+        "connected, diameter <= 3, girth 3, 4 or infinite",
+    ),)
 
 
 # -- aggregation ---------------------------------------------------------------
 
 
-def run_all(s, size_cap: int = DEFAULT_CUTSET_CAP) -> tuple[Verdict, ...]:
-    """All checks in a fixed order."""
-    return (
-        check_nilpotent_subgraph(s),
-        check_median_center_ideals(s),
-        check_cut_structures(s, size_cap),
-        check_bridge(s),
-        check_ass_properties(s),
-        check_rpartite(s),
-        check_chromatic(s),
-    )
+def run_all(s, size_cap: int = DEFAULT_CUTSET_CAP) -> dict[str, tuple[Verdict, ...]]:
+    """Each check name mapped to its clause verdicts, in a fixed order."""
+    return {
+        "nilpotent-subgraph": check_nilpotent_subgraph(s),
+        "median-center": check_median_center_ideals(s),
+        "cut-structures": check_cut_structures(s, size_cap),
+        "bridges": check_bridge(s),
+        "associated-primes": check_ass_properties(s),
+        "rpartite": check_rpartite(s),
+        "chromatic": check_chromatic(s),
+    }
 
 
-def all_clauses(verdicts) -> tuple[Verdict, ...]:
-    """Flatten composite verdicts into their clause verdicts."""
-    out = []
-    for v in verdicts:
-        out.extend(v.clauses if v.clauses else (v,))
-    return tuple(out)
-
-
-def failures(verdicts) -> tuple[Verdict, ...]:
-    """Applicable-and-failing clauses; counterexample candidates."""
-    return tuple(c for c in all_clauses(verdicts) if c.failed)
+def failures(checks) -> tuple[Verdict, ...]:
+    """Applicable-and-failing clauses of a run_all result; counterexample
+    candidates."""
+    return tuple(c for clauses in checks.values() for c in clauses if c.failed)
 
 
 def matches_selector(theorem_id: str, selector: str) -> bool:
-    """True if a clause id matches a selector like "2.2", "2.9" or "all".
+    """True if an id matches a selector like "2.2", "2.9", "cut" or "all".
 
-    Number tokens may carry a letter suffix ("2.9a"), which a bare
-    numeric selector also matches. Full ids match themselves.
+    The id is a clause id or a check name. Number tokens may carry a
+    letter suffix ("2.9a"), which a bare numeric selector also matches.
+    Full ids match themselves.
     """
-    if selector in (None, "", "all"):
-        return True
-    if selector == theorem_id:
+    if selector in (None, "", "all", theorem_id):
         return True
     for tok in theorem_id.split("-"):
         if tok == selector or tok.rstrip("abcdefghijklmnopqrstuvwxyz") == selector:

@@ -97,6 +97,24 @@ def naive_is_bipartite(g) -> bool:
     )
 
 
+def naive_multipartite_parts(g):
+    """The parts of a complete multipartite graph as vertex sets ordered
+    by size, then least vertex; None for any other graph.
+
+    The parts are the components of the complement graph, provided each
+    of them is independent in g: the complement is then a disjoint union
+    of cliques.
+    """
+    vs = g.vertices
+    complement = Graph(vs, [
+        (u, v) for i, u in enumerate(vs) for v in vs[i + 1:] if not g.has_edge(u, v)
+    ])
+    parts = [frozenset(vs[i] for i in c) for c in naive_components(complement)]
+    if any(g.has_edge(u, v) for p in parts for u in p for v in p):
+        return None
+    return tuple(sorted(parts, key=lambda p: (len(p), min(p))))
+
+
 def random_graph(rng: random.Random, max_n: int = 8) -> Graph:
     n = rng.randint(0, max_n)
     p = rng.random()
@@ -372,3 +390,45 @@ def naive_minimal_ideals(rows):
         if len(t) > 1 and naive_is_ideal(rows, t)
     ]
     return sorted((t for t in ideals if not any(u < t for u in ideals)), key=sorted)
+
+
+# -- the zero-divisor graphs, on table rows ---------------------------------------
+
+
+def naive_zero_divisors(rows):
+    """Z(S)*: the nonzero x with xy = 0 for some nonzero y."""
+    n = len(rows)
+    return frozenset(
+        x for x in range(1, n) if any(rows[x][y] == 0 for y in range(1, n))
+    )
+
+
+def naive_nilpotents(rows):
+    """N(S): the x whose powers x, x^2, x^3, ... reach 0, followed until a
+    power repeats."""
+    out = set()
+    for x in range(len(rows)):
+        powers = []
+        p = x
+        while p not in powers:
+            powers.append(p)
+            p = rows[p][x]
+        if 0 in powers:
+            out.add(x)
+    return frozenset(out)
+
+
+def naive_gamma_edges(rows):
+    """Edges {x, y} of Γ as pairs x < y of nonzero elements with xy = 0."""
+    n = len(rows)
+    return {(x, y) for x in range(1, n) for y in range(x + 1, n) if rows[x][y] == 0}
+
+
+def naive_gamma_bar_edges(rows):
+    """Edges {x, y} of Γ̄ as pairs x < y of nonzero elements with
+    x(sy) = 0 for every s."""
+    n = len(rows)
+    return {
+        (x, y) for x in range(1, n) for y in range(x + 1, n)
+        if all(rows[x][rows[s][y]] == 0 for s in range(n))
+    }

@@ -14,7 +14,6 @@ import time
 
 from zdg import (
     EnumerationOptions,
-    all_clauses,
     audit,
     builtin_example,
     center,
@@ -70,7 +69,7 @@ def test_02_path_fixture_and_its_checkers():
     assert g.edges() == ((1, 2), (2, 3), (3, 4))  # the path a-b-c-d
     assert [g.label_of(v) for v in g.vertices] == ["a", "b", "c", "d"]
     assert not s.is_ideal({0, 1, 3})  # {0, a, c}
-    clauses = all_clauses(run_all(s))
+    clauses = [c for cs in run_all(s).values() for c in cs]
     for selector in ("2.2", "2.5", "2.3"):
         matched = [c for c in clauses if matches_selector(c.theorem_id, selector)]
         assert matched

@@ -290,6 +290,25 @@ def test_check_selector_picks_matching_clauses(capsys):
     assert any("thm-2.2-median" in l for l in lines)
 
 
+def checked_ids(out):
+    """The clause ids of check's text output, in order."""
+    return [line.split()[0] for line in out.splitlines()[:-1]]
+
+
+@pytest.mark.parametrize("selector, ids", [
+    ("chromatic", ["fact-chi-ge-omega", "thm-4.1-decomposition-exists",
+                   "thm-4.1-coloring-bound", "cor-4.2-chi-omega-count",
+                   "thm-4.4-chi-omega-small"]),
+    ("bridges", ["thm-2.5-bridge-two-sided", "thm-2.5-bridge-leaf"]),
+    ("cut", ["cor-2.3-cut-vertices", "thm-2.2-minimal-vertex-cutsets",
+             "cor-2.6-minimal-edge-cutsets"]),
+])
+def test_check_name_selects_its_clauses(capsys, selector, ids):
+    code, out, _ = run_cli(capsys, "check", "ex3.4", "--theorem", selector)
+    assert code == 0
+    assert checked_ids(out) == ids
+
+
 def test_check_report_format(capsys):
     code, out, _ = run_cli(capsys, "check", "ex3.5", "--theorem", "3.1",
                            "--format", "report")
@@ -404,6 +423,24 @@ def test_search_unknown_predicate_exits_1(capsys):
                            "--predicate", "bogus")
     assert code == 1
     assert "unknown predicate" in err
+
+
+@pytest.mark.parametrize("predicate", [
+    "girth:2", "girth:0", "girth:-3", "complete-rpartite:0", "complete-rpartite:-1",
+])
+def test_search_predicate_no_graph_meets_exits_1(capsys, predicate):
+    # refused before enumerating, not answered with an empty search
+    code, out, err = run_cli(capsys, "search", "--order", "4", "--predicate", predicate)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and "can match no graph" in err
+
+
+@pytest.mark.parametrize("predicate", ["girth:3", "girth:inf", "complete-rpartite:1"])
+def test_search_predicate_at_its_least_argument_finds_matches(capsys, predicate):
+    code, out, _ = run_cli(capsys, "search", "--order", "4", "--predicate", predicate)
+    assert code == 0
+    assert out.strip()
 
 
 def test_missing_subcommand_is_usage_error():

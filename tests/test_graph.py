@@ -35,6 +35,11 @@ from oracles import (
     brute_chromatic_number,
     brute_clique_number,
     brute_girth,
+    naive_gamma_bar_edges,
+    naive_gamma_edges,
+    naive_multipartite_parts,
+    naive_nilpotents,
+    naive_zero_divisors,
     random_graph,
 )
 
@@ -50,6 +55,39 @@ def cycle(n):
 
 
 # -- construction ----------------------------------------------------------------
+
+
+def small_corpus():
+    """Every raw table of order 2 to 4, then every order-5 isomorphism class."""
+    for order in (2, 3, 4):
+        yield from enumerate_semigroups(EnumerationOptions(order))
+    yield from enumerate_semigroups(EnumerationOptions(5, up_to_iso=True))
+
+
+def test_gamma_construction_matches_naive_definitions():
+    count = 0
+    for s in small_corpus():
+        count += 1
+        rows = s.table.entries
+        zstar, nil = naive_zero_divisors(rows), naive_nilpotents(rows)
+        assert s.nonzero_zero_divisors() == zstar
+        assert s.nilpotents() == nil
+        assert s.is_reduced() == (nil == {0})
+        g, bar = gamma(s), gamma_bar(s)
+        assert g.vertices == bar.vertices == tuple(sorted(zstar))
+        assert set(g.edges()) == naive_gamma_edges(rows)
+        assert set(bar.edges()) == naive_gamma_bar_edges(rows)
+        assert complete_multipartite_partition(g) == naive_multipartite_parts(g)
+    assert count == 436
+
+
+def test_multipartite_partition_matches_oracle_on_random_graphs():
+    # the 200 random graphs of the acceptance oracle test
+    rng = random.Random(20260819)
+    for _ in range(200):
+        g = random_graph(rng, max_n=8)
+        assert complete_multipartite_partition(g) == naive_multipartite_parts(g)
+
 
 
 def test_gamma_of_ex34_is_the_path():
@@ -348,8 +386,3 @@ def test_induced_on_all_vertices_is_identity():
     g = gamma(builtin_example("ex4.5"))
     sub = g.induced(g.vertices)
     assert sub.edges() == g.edges()
-
-
-def test_complement_of_cycle4():
-    comp = cycle(4).complement()
-    assert comp.edges() == ((0, 2), (1, 3))

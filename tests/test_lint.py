@@ -85,6 +85,26 @@ def test_package_exports_match_its_imports():
     assert sorted(public - set(exported)) == []
 
 
+def test_verdicts_are_built_only_by_v():
+    # every clause goes through theorems._v, which forces holds to True
+    # on an inapplicable clause; a Verdict built elsewhere could skip that
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        if path.name == "theorems.py":
+            tree.body = [
+                node for node in tree.body
+                if not (isinstance(node, ast.FunctionDef) and node.name == "_v")
+            ]
+        found += [
+            "%s:%d" % (path.name, node.lineno)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and "Verdict" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+        ]
+    assert found == []
+
+
 ORACLES = Path(__file__).resolve().parent / "oracles.py"
 # the containers an oracle may build on; everything else in zdg is code
 # under test, and an oracle sharing it would confirm the code by itself

@@ -5,7 +5,6 @@ import pytest
 from zdg import (
     CayleyTable,
     Semigroup,
-    all_clauses,
     builtin_example,
     check_ass_properties,
     check_bridge,
@@ -25,8 +24,13 @@ from zdg import (
 )
 
 
-def clause(verdicts, theorem_id):
-    for c in all_clauses(verdicts):
+def flat(checks):
+    """The clauses of a run_all dict, or a clause tuple as it is."""
+    return [c for cs in checks.values() for c in cs] if isinstance(checks, dict) else checks
+
+
+def clause(checks, theorem_id):
+    for c in flat(checks):
         if c.theorem_id == theorem_id:
             return c
     raise AssertionError("no clause %s" % theorem_id)
@@ -76,17 +80,10 @@ def test_no_failures_on_any_builtin_or_builder():
 
 
 def test_vacuous_verdicts_never_fail():
-    vs = run_all(group_with_zero(3))  # empty graph: almost nothing applies
-    for c in all_clauses(vs):
+    checks = run_all(group_with_zero(3))  # empty graph: almost nothing applies
+    for c in flat(checks):
         if not c.applicable:
-            assert c.holds and not c.failed and c.vacuous
-
-
-def test_composites_aggregate_their_clauses():
-    v = check_chromatic(builtin_example("ex4.5"))
-    assert v.clauses
-    assert v.applicable == any(c.applicable for c in v.clauses)
-    assert v.holds == all(c.holds for c in v.clauses)
+            assert c.holds and not c.failed
 
 
 def test_selector_matching():
@@ -104,7 +101,7 @@ def test_selector_matching():
 
 def test_nilpotent_subgraph_on_ex45():
     v = check_nilpotent_subgraph(builtin_example("ex4.5"))
-    c = v.clauses[0]
+    c = v[0]
     assert c.applicable and c.holds
     assert c.witness["nilpotents"] == [1, 2, 3, 4, 5, 6]
     assert c.witness["diameter"] <= 2
@@ -112,14 +109,14 @@ def test_nilpotent_subgraph_on_ex45():
 
 def test_nilpotent_subgraph_vacuous_when_reduced():
     v = check_nilpotent_subgraph(powerset_semigroup(3))
-    assert not v.clauses[0].applicable
+    assert not v[0].applicable
 
 
 # -- median, center, cut structures ------------------------------------------------------
 
 
 def test_median_and_center_of_ex34_form_ideals():
-    vs = (check_median_center_ideals(builtin_example("ex3.4")),)
+    vs = check_median_center_ideals(builtin_example("ex3.4"))
     med = clause(vs, "thm-2.2-median")
     cen = clause(vs, "thm-2.4-center")
     assert med.applicable and med.holds
@@ -129,7 +126,7 @@ def test_median_and_center_of_ex34_form_ideals():
 
 
 def test_cut_structures_of_ex34():
-    vs = (check_cut_structures(builtin_example("ex3.4")),)
+    vs = check_cut_structures(builtin_example("ex3.4"))
     cv = clause(vs, "cor-2.3-cut-vertices")
     assert cv.applicable and cv.holds
     assert [r["vertex"] for r in cv.witness["cut_vertices"]] == [2, 3]
@@ -147,7 +144,7 @@ def test_edge_cutset_literal_side_ideals_can_fail_without_failing_the_clause():
     # side leaves sides whose endpoint sets are not ideals; the clause
     # verifies the provable containments instead and records the rest.
     v = check_cut_structures(two_orthogonal_groups())
-    ec = clause((v,), "cor-2.6-minimal-edge-cutsets")
+    ec = clause(v, "cor-2.6-minimal-edge-cutsets")
     assert ec.applicable and ec.holds
     literal = [
         side.get("literal_side_ideal")
@@ -163,7 +160,7 @@ def test_edge_cutset_literal_side_ideals_can_fail_without_failing_the_clause():
 
 def test_bridge_two_sided_on_ex34():
     v = check_bridge(builtin_example("ex3.4"))
-    two = clause((v,), "thm-2.5-bridge-two-sided")
+    two = clause(v, "thm-2.5-bridge-two-sided")
     assert two.applicable and two.holds
     assert two.witness["bridges"][0]["bridge"] == [2, 3]
     assert two.witness["bridges"][0]["Sx"] == [0, 2]
@@ -172,7 +169,7 @@ def test_bridge_two_sided_on_ex34():
 
 def test_bridge_leaf_clause_on_ex34():
     v = check_bridge(builtin_example("ex3.4"))
-    leaf = clause((v,), "thm-2.5-bridge-leaf")
+    leaf = clause(v, "thm-2.5-bridge-leaf")
     assert leaf.applicable and leaf.holds
     leaves = {r["leaf"] for r in leaf.witness["bridges"]}
     assert leaves == {1, 4}
@@ -184,7 +181,7 @@ def test_bridge_leaf_clause_on_ex34():
 def test_bridge_on_two_vertex_graph_requires_triple_ideal():
     s = null_semigroup(3)  # gamma = K2
     v = check_bridge(s)
-    leaf = clause((v,), "thm-2.5-bridge-leaf")
+    leaf = clause(v, "thm-2.5-bridge-leaf")
     assert leaf.applicable and leaf.holds
     assert all(r["literal_triple_ideal"] for r in leaf.witness["bridges"])
 
@@ -194,18 +191,18 @@ def test_bridge_on_two_vertex_graph_requires_triple_ideal():
 
 def test_ass_properties_on_powerset3():
     v = check_ass_properties(powerset_semigroup(3))
-    lem = clause((v,), "lem-2.8-maximal-annihilators")
+    lem = clause(v, "lem-2.8-maximal-annihilators")
     assert lem.applicable and lem.holds
-    pairs = clause((v,), "prop-2.9a-pairwise-products")
+    pairs = clause(v, "prop-2.9a-pairwise-products")
     assert pairs.applicable and pairs.holds and not pairs.witness["violations"]
-    g3 = clause((v,), "prop-2.9b-girth-3")
+    g3 = clause(v, "prop-2.9b-girth-3")
     assert g3.applicable and g3.holds
-    assert v.witness["ass_count"] == 3
+    assert len(pairs.witness["associated_primes"]) == 3
 
 
 def test_clique5_clause_applies_to_powerset5():
     v = check_ass_properties(powerset_semigroup(5))
-    c5 = clause((v,), "prop-2.9c-clique-5")
+    c5 = clause(v, "prop-2.9c-clique-5")
     assert c5.applicable and c5.holds
     assert c5.witness["count"] == 5
 
@@ -215,15 +212,15 @@ def test_clique5_clause_applies_to_powerset5():
 
 def test_rpartite_conclusions_on_two_orthogonal_groups():
     v = check_rpartite(two_orthogonal_groups())
-    t31 = clause((v,), "thm-3.1-parts-ideals-primes")
+    t31 = clause(v, "thm-3.1-parts-ideals-primes")
     assert t31.applicable and t31.holds
     assert all(r["part_ideal"] and r["complement_prime"]
                for r in t31.witness["parts"])
-    b = clause((v,), "rem-3.2b-complete-bipartite")
+    b = clause(v, "rem-3.2b-complete-bipartite")
     assert b.applicable and b.holds
-    g4 = clause((v,), "cor-3.3-girth-4")
+    g4 = clause(v, "cor-3.3-girth-4")
     assert g4.applicable and g4.holds and g4.witness["girth"] == 4
-    t36 = clause((v,), "thm-3.6-reduced")
+    t36 = clause(v, "thm-3.6-reduced")
     assert t36.applicable and t36.holds
     assert t36.witness["literal_reduced"] is True
 
@@ -232,10 +229,10 @@ def test_rpartite_not_applicable_on_non_reduced_star():
     # the intended counterexample: K(1,2) with a nilpotent vertex, so the
     # reduced hypothesis fails and the partition clauses stay vacuous
     v = check_rpartite(builtin_example("ex3.5"))
-    t31 = clause((v,), "thm-3.1-parts-ideals-primes")
+    t31 = clause(v, "thm-3.1-parts-ideals-primes")
     assert not t31.applicable
     assert t31.witness.get("reduced") is False
-    a = clause((v,), "rem-3.2a-weakened-hypothesis")
+    a = clause(v, "rem-3.2a-weakened-hypothesis")
     assert not a.applicable  # z^2 = 0 breaks the weaker hypothesis too
 
 
@@ -243,7 +240,7 @@ def test_all_parts_large_clause_survives_non_reduced_witness():
     # both parts of size two, one nilpotent: the provable conclusions
     # hold while literal reducedness fails and is recorded as witness
     v = check_rpartite(non_reduced_bipartite())
-    t36 = clause((v,), "thm-3.6-reduced")
+    t36 = clause(v, "thm-3.6-reduced")
     assert t36.applicable and t36.holds
     assert t36.witness["literal_reduced"] is False
     assert t36.witness["nilpotents_per_part"] == [1, 0]
@@ -262,10 +259,10 @@ def test_obstruction_to_orthogonal_union_on_star_fixture():
 
 def test_chromatic_clauses_on_powerset3():
     v = check_chromatic(powerset_semigroup(3))
-    assert clause((v,), "thm-4.1-decomposition-exists").holds
-    bound = clause((v,), "thm-4.1-coloring-bound")
+    assert clause(v, "thm-4.1-decomposition-exists").holds
+    bound = clause(v, "thm-4.1-coloring-bound")
     assert bound.applicable and bound.holds
-    count = clause((v,), "cor-4.2-chi-omega-count")
+    count = clause(v, "cor-4.2-chi-omega-count")
     assert count.applicable and count.holds
     assert count.witness == {"chi": 3, "omega": 3, "prime_count": 3}
 
@@ -274,20 +271,21 @@ def test_chromatic_single_prime_decomposition_is_excluded():
     # the whole semigroup is the only prime here; chi = omega = 0 would
     # contradict a literal count clause, so it must stay vacuous
     v = check_chromatic(group_with_zero(3))
-    count = clause((v,), "cor-4.2-chi-omega-count")
+    count = clause(v, "cor-4.2-chi-omega-count")
     assert not count.applicable
-    assert clause((v,), "fact-chi-ge-omega").holds
+    assert clause(v, "fact-chi-ge-omega").holds
 
 
 def test_chromatic_gap_fixture_keeps_small_value_equivalence():
     v = check_chromatic(builtin_example("ex4.5"))
-    small = clause((v,), "thm-4.4-chi-omega-small")
+    small = clause(v, "thm-4.4-chi-omega-small")
     assert not small.applicable  # chi = 4 and omega = 3 are both above 2
-    assert v.witness == {"chi": 4, "omega": 3, "prime_count": None}
+    assert clause(v, "fact-chi-ge-omega").witness == {"chi": 4, "omega": 3}
+    assert clause(v, "thm-4.1-coloring-bound").witness == {"chi": 4, "prime_count": None}
 
 
 def test_run_all_order_is_stable():
-    ids = [v.theorem_id for v in run_all(builtin_example("ex3.4"))]
+    ids = list(run_all(builtin_example("ex3.4")))
     assert ids == [
         "nilpotent-subgraph",
         "median-center",
@@ -302,7 +300,7 @@ def test_run_all_order_is_stable():
 def test_cutset_cap_is_honored():
     s = two_orthogonal_groups()
     capped = check_cut_structures(s, size_cap=1)
-    ec = clause((capped,), "cor-2.6-minimal-edge-cutsets")
+    ec = clause(capped, "cor-2.6-minimal-edge-cutsets")
     assert not ec.applicable  # the smallest edge cutset has two edges
 
 
