@@ -10,6 +10,7 @@ byte-identical bytes.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from pathlib import Path
@@ -185,7 +186,9 @@ def _cmd_example(args) -> int:
 # -- parser --------------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of a process; it holds no per-call state."""
     p = argparse.ArgumentParser(
         prog="zdg",
         description="Zero-divisor graphs of finite commutative semigroups "

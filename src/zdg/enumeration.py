@@ -13,15 +13,26 @@ table, so repeated runs produce byte-identical output.
 Commutativity lets the associativity check range over triples (x, y, z)
 with x <= z only: the remaining instances follow by swapping factors.
 
-Up to isomorphism, a raw table is kept only when it equals its
-canonical_form, the least relabeling fixing 0.
+Up to isomorphism, a table is kept only when it is canonical: no
+relabeling fixing 0 makes it lex-smaller (it equals its canonical_form).
+The search tests this as it goes, with canonical_form's own search
+(_least) stopped at the first relabeling that beats the table:
+
+- Once row r is complete, for 2 <= r <= n-3, the branch is dropped when
+  a relabeling that moves only labels 1..r makes rows 1..r smaller. By
+  commutativity those rows of the relabeled table read only rows 1..r
+  of the original, so every completion is beaten too. At r = n-2 the
+  test costs more than it saves.
+- A complete associative table is dropped when any relabeling fixing 0
+  makes it smaller; only the tables kept become CayleyTables.
+
+Raw enumeration runs no test.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 from .errors import MalformedTableError, OrderTooLargeError, UnknownPredicateError
@@ -105,10 +116,15 @@ def _assoc_full(n, t) -> bool:
     return True
 
 
-def _descend(n, cells, rank, watch, t, k, require_reduced, values=None):
-    """Complete tables from cell k on, cell k taking values (default: all)."""
+def _descend(n, cells, rank, watch, t, k, require_reduced, tests, values=None):
+    """Complete tables from cell k on, cell k taking values (default: all).
+
+    tests[k] is None or the canonicity test (a _rows_test) run once
+    cell k is filled; tests[len(cells)] is the leaf's.
+    """
+    test = tests[k]
     if k == len(cells):
-        if _assoc_full(n, t):
+        if _assoc_full(n, t) and not (test and _beaten(n, t, *test)):
             rows = [tuple(t[r * n:(r + 1) * n]) for r in range(n)]
             yield CayleyTable(order=n, entries=tuple(rows))
         return
@@ -119,8 +135,8 @@ def _descend(n, cells, rank, watch, t, k, require_reduced, values=None):
             continue  # a zero square would make i nilpotent
         t[ij] = v
         t[ji] = v
-        if _watch_ok(n, t, rank, watch[k], k):
-            yield from _descend(n, cells, rank, watch, t, k + 1, require_reduced)
+        if _watch_ok(n, t, rank, watch[k], k) and not (test and _beaten(n, t, *test)):
+            yield from _descend(n, cells, rank, watch, t, k + 1, require_reduced, tests)
     t[ij] = 0
     t[ji] = 0
 
@@ -138,46 +154,25 @@ def _to_front(sigma, pos, cs, ce, x) -> int:
     return first
 
 
-def canonical_form(s) -> CayleyTable:
-    """Least relabeling of the table among all permutations fixing 0.
+class _Beaten(Exception):
+    """A candidate cell went below the bound."""
 
-    Accepts a Semigroup or a bare CayleyTable, zero-framed or not and
-    commutative or not; two semigroups are isomorphic exactly when their
-    canonical forms are equal. The result is the lex-least row-major
-    table over all (n-1)! relabelings fixing 0, with names dropped, but
-    the relabelings are not tried one by one:
 
-    - A relabeling is built label by label (sigma: new label -> old
-      element). The candidate's cells are produced lazily in row-major
-      order and compared with the best table so far; a branch stops at
-      the first cell that is larger, so a full table is only copied out
-      when it is no larger. Row 0 and column 0 are skipped when they are
-      all 0, since they then stay 0 under every sigma.
-    - Labels not yet given out form an ordered partition: each block of
-      old elements owns a run of consecutive labels. A cell whose product
-      lands in a block takes that block's first label, since any other
-      member of the block would make the cell larger. A row segment over
-      one block whose products all have fixed labels is sorted, which
-      splits the block by product; any other order makes the segment
-      larger.
-    - Only where neither rule decides does the search branch, and then
-      only over the block members that give the cell its least value.
-      For sigma(1) this keeps the elements whose square is 0, else the
-      idempotents, else the rest.
+def _least(t, n, cells, cs, ce, bound=None):
+    """Least cell values over the relabelings an ordered partition allows.
 
-    Entries must be elements 0..n-1 (MalformedTableError otherwise).
+    t is the flat n*n table and cells the (row, column) label pairs to
+    compare, in order. Labels cs[i] up to ce[i] (exclusive) form the
+    initial block holding label i; a relabeling permutes the labels of
+    each block among its members, so a label alone in its block stays
+    fixed. Returns the lex-least list of cell values. With a bound, it
+    returns None at the first candidate cell below the bound (the bound
+    is beaten), and the bound when no relabeling goes below it. See
+    canonical_form for the search.
     """
-    table = s.table if isinstance(s, Semigroup) else s
-    n = table.order
-    rows = table.entries
-    t = [rows[i][j] for i in range(n) for j in range(n)]
-    if t and (min(t) < 0 or max(t) >= n):
-        raise MalformedTableError("table entries must lie in 0..%d" % (n - 1))
-    lo = 0 if any(t[:n]) or any(t[i * n] for i in range(n)) else 1
-    cells = [(a, b) for a in range(lo, n) for b in range(lo, n)]
     ncells = len(cells)
     cand = [0] * ncells
-    best = None
+    best = bound
 
     # sigma[label] = element and pos[element] = label; labels cs[i] up to
     # ce[i] (exclusive) form the block holding label i. A state belongs to
@@ -199,6 +194,8 @@ def canonical_form(s) -> CayleyTable:
                 if tied and v != best[c]:
                     if v > best[c]:
                         return False
+                    if bound is not None:
+                        raise _Beaten
                     tied = False
                 cand[c] = v
                 c += 1
@@ -226,6 +223,8 @@ def canonical_form(s) -> CayleyTable:
                     if tied and v != best[c]:
                         if v > best[c]:
                             return False
+                        if bound is not None:
+                            raise _Beaten
                         tied = False
                     cand[c] = v
                     c += 1
@@ -266,7 +265,66 @@ def canonical_form(s) -> CayleyTable:
         return updated
 
     identity = list(range(n))
-    walk(0, False, identity, identity[:], [0] + [1] * (n - 1), [1] + [n] * (n - 1))
+    try:
+        walk(0, bound is not None, identity, identity[:], cs[:], ce[:])
+    except _Beaten:
+        return None
+    return best
+
+
+def _rows_test(n, r):
+    """The cells of rows 1..r, and block starts and ends that put labels
+    1..r in one block and every other label alone."""
+    cells = [(a, b) for a in range(1, r + 1) for b in range(1, n)]
+    cs = [0] + [1] * r + list(range(r + 1, n))
+    ce = [1] + [r + 1] * r + list(range(r + 2, n + 1))
+    return cells, cs, ce
+
+
+def _beaten(n, t, cells, cs, ce) -> bool:
+    """True when some relabeling the blocks allow makes the cells smaller."""
+    return _least(t, n, cells, cs, ce, [t[a * n + b] for a, b in cells]) is None
+
+
+def canonical_form(s) -> CayleyTable:
+    """Least relabeling of the table among all permutations fixing 0.
+
+    Accepts a Semigroup or a bare CayleyTable, zero-framed or not and
+    commutative or not; two semigroups are isomorphic exactly when their
+    canonical forms are equal. The result is the lex-least row-major
+    table over all (n-1)! relabelings fixing 0, with names dropped, but
+    the relabelings are not tried one by one:
+
+    - A relabeling is built label by label (sigma: new label -> old
+      element). The candidate's cells are produced lazily in row-major
+      order and compared with the best table so far; a branch stops at
+      the first cell that is larger, so a full table is only copied out
+      when it is no larger. Row 0 and column 0 are skipped when they are
+      all 0, since they then stay 0 under every sigma.
+    - Labels not yet given out form an ordered partition: each block of
+      old elements owns a run of consecutive labels. A cell whose product
+      lands in a block takes that block's first label, since any other
+      member of the block would make the cell larger. A row segment over
+      one block whose products all have fixed labels is sorted, which
+      splits the block by product; any other order makes the segment
+      larger.
+    - Only where neither rule decides does the search branch, and then
+      only over the block members that give the cell its least value.
+      For sigma(1) this keeps the elements whose square is 0, else the
+      idempotents, else the rest.
+
+    Entries must be elements 0..n-1 (MalformedTableError otherwise).
+    """
+    table = s.table if isinstance(s, Semigroup) else s
+    n = table.order
+    rows = table.entries
+    t = [rows[i][j] for i in range(n) for j in range(n)]
+    if t and (min(t) < 0 or max(t) >= n):
+        raise MalformedTableError("table entries must lie in 0..%d" % (n - 1))
+    lo = 0 if any(t[:n]) or any(t[i * n] for i in range(n)) else 1
+    cells = [(a, b) for a in range(lo, n) for b in range(lo, n)]
+    _, cs, ce = _rows_test(n, n - 1)
+    best = _least(t, n, cells, cs, ce)
     flat = [0] * (n * n)
     for (a, b), v in zip(cells, best):
         flat[a * n + b] = v
@@ -274,16 +332,26 @@ def canonical_form(s) -> CayleyTable:
     return CayleyTable(order=n, entries=entries, names=None)
 
 
+def _iso_tests(n, cells):
+    """Per-cell canonicity tests: rows 1..r once row r is complete, for
+    2 <= r <= n-3, and the whole table at the leaf."""
+    tests = [None] * len(cells) + [_rows_test(n, n - 1)]
+    for k, (i, j) in enumerate(cells):
+        if j == n - 1 and 2 <= i <= n - 3:
+            tests[k] = _rows_test(n, i)
+    return tests
+
+
 def _generate(opts: EnumerationOptions, pinned: int | None = None):
     """The tables for opts; only those with pinned in the first free cell if given."""
     n = opts.order
     cells = _cells(n)
     rank, watch = _prepare(n, cells)
+    tests = _iso_tests(n, cells) if opts.up_to_iso else [None] * (len(cells) + 1)
     values = None if pinned is None else (pinned,)
-    gen = _descend(n, cells, rank, watch, [0] * (n * n), 0, opts.require_reduced, values)
-    if opts.up_to_iso:
-        gen = (tb for tb in gen if canonical_form(tb).entries == tb.entries)
-    yield from gen
+    yield from _descend(
+        n, cells, rank, watch, [0] * (n * n), 0, opts.require_reduced, tests, values
+    )
 
 
 def _branch_entries(opts: EnumerationOptions, pinned: int):
@@ -306,6 +374,8 @@ def enumerate_semigroups(opts: EnumerationOptions, workers: int = 1):
         for tb in gen:
             yield Semigroup(tb)
         return
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=min(workers, n)) as pool:
         for chunk in pool.map(_branch_entries, [opts] * n, range(n)):
             for entries in chunk:
@@ -453,6 +523,8 @@ def search(opts: EnumerationOptions, predicate: str, workers: int = 1):
     "girth:inf" for acyclic graphs.
     """
     fn, arg = _parse_predicate(predicate)
+    if arg is not None and arg != math.inf and arg > opts.order - 1:
+        return  # Γ has at most order-1 vertices: no cycle or part count that large
     # the limit caps matches, not the enumerated universe
     matches = (
         s

@@ -1,5 +1,6 @@
 """Command-line behavior: formats, exit codes, piping, determinism."""
 
+import argparse
 import io
 import json
 import subprocess
@@ -22,6 +23,29 @@ def run_proc(*argv):
         [sys.executable, "-m", "zdg", *argv], capture_output=True
     )
     return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_repeated_main_calls_build_the_parser_once(capsys, monkeypatch):
+    assert main(["example", "null:2"]) == 0
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    for _ in range(3):
+        assert main(["example", "null:2"]) == 0
+    assert built == []
+    assert capsys.readouterr().out.count("names: 0 x1") == 4
+
+
+def test_import_leaves_the_process_pool_unloaded():
+    # only a --workers run above 1 needs concurrent.futures
+    code = "import sys, zdg, zdg.cli; print('concurrent.futures' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True)
+    assert (proc.returncode, proc.stdout) == (0, b"False\n")
 
 
 # -- example and invariants -------------------------------------------------------

@@ -1,8 +1,10 @@
 """Exhaustive enumeration, canonical forms, audits and searches."""
 
+import collections
 import itertools
 import math
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -23,6 +25,7 @@ from zdg import (
     search,
     validate,
 )
+from zdg import enumeration
 from oracles import brute_canonical_form, burnside_class_count, naive_zero_tables
 
 # raw counts pinned from the naive generate-and-filter oracle
@@ -219,6 +222,50 @@ def test_up_to_iso_emits_canonical_representatives_only():
         assert canonical_form(s.table).entries == s.table.entries
 
 
+def brute_filtered(opts):
+    """The raw stream for opts, kept where brute_canonical_form fixes the
+    table, up to opts.limit."""
+    raw = enumerate_semigroups(replace(opts, up_to_iso=False, limit=None))
+    kept = (
+        s.table.entries
+        for s in raw
+        if brute_canonical_form(s.table).entries == s.table.entries
+    )
+    return list(itertools.islice(kept, opts.limit))
+
+
+@pytest.fixture
+def prunes(monkeypatch):
+    """Canonicity tests that found a smaller relabeling, by last row read."""
+    beaten = collections.Counter()
+    test = enumeration._beaten
+
+    def counted(n, t, cells, cs, ce):
+        hit = test(n, t, cells, cs, ce)
+        beaten[cells[-1][0]] += hit
+        return hit
+
+    monkeypatch.setattr(enumeration, "_beaten", counted)
+    return beaten
+
+
+@pytest.mark.parametrize("reduced", (False, True))
+@pytest.mark.parametrize("order", (2, 3, 4, 5))
+def test_up_to_iso_stream_is_the_brute_filtered_raw_stream(order, reduced, prunes):
+    opts = EnumerationOptions(order, up_to_iso=True, require_reduced=reduced)
+    assert [t.entries for t in tables(opts)] == brute_filtered(opts)
+    if order == 5:
+        assert prunes[2] > 0  # the rows-1..2 prefix test dropped branches
+
+
+@pytest.mark.parametrize("reduced", (False, True))
+def test_up_to_iso_head_of_order_6_is_the_brute_filtered_raw_head(reduced, prunes):
+    # the first 150 classes reach past the rows-1..3 prefix test's first prunes
+    opts = EnumerationOptions(6, up_to_iso=True, require_reduced=reduced, limit=150)
+    assert [t.entries for t in tables(opts)] == brute_filtered(opts)
+    assert prunes[3] > 0
+
+
 # -- audit ----------------------------------------------------------------------
 
 
@@ -307,6 +354,37 @@ def test_search_chi_omega_gap_is_empty_at_small_orders():
         assert not list(
             search(EnumerationOptions(order=n, up_to_iso=True), "chi-omega-gap")
         )
+
+
+class Enumerated(Exception):
+    pass
+
+
+@pytest.mark.parametrize(
+    "spec, enumerates",
+    [
+        ("girth:4", True),
+        ("girth:inf", True),
+        ("complete-rpartite:4", True),
+        ("girth:5", False),
+        ("girth:9", False),
+        ("complete-rpartite:5", False),
+        ("complete-rpartite:9", False),
+    ],
+)
+def test_search_answers_at_once_when_no_graph_of_the_order_can_match(
+    spec, enumerates, monkeypatch
+):
+    # Γ of an order-5 semigroup has at most 4 vertices
+    def refuse(*args, **kwargs):
+        raise Enumerated(spec)
+
+    monkeypatch.setattr(enumeration, "enumerate_semigroups", refuse)
+    if enumerates:
+        with pytest.raises(Enumerated):
+            list(search(EnumerationOptions(order=5), spec))
+    else:
+        assert list(search(EnumerationOptions(order=5), spec)) == []
 
 
 def test_unknown_predicate_is_rejected():
