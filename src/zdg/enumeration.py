@@ -37,7 +37,6 @@ from dataclasses import dataclass, replace
 
 from .errors import MalformedTableError, OrderTooLargeError, UnknownPredicateError
 from .graph import (
-    DEFAULT_CUTSET_CAP,
     bridges,
     chromatic_number,
     clique_number,
@@ -114,31 +113,6 @@ def _assoc_full(n, t) -> bool:
                 if t[t[x * n + y] * n + z] != t[x * n + t[y * n + z]]:
                     return False
     return True
-
-
-def _descend(n, cells, rank, watch, t, k, require_reduced, tests, values=None):
-    """Complete tables from cell k on, cell k taking values (default: all).
-
-    tests[k] is None or the canonicity test (a _rows_test) run once
-    cell k is filled; tests[len(cells)] is the leaf's.
-    """
-    test = tests[k]
-    if k == len(cells):
-        if _assoc_full(n, t) and not (test and _beaten(n, t, *test)):
-            rows = [tuple(t[r * n:(r + 1) * n]) for r in range(n)]
-            yield CayleyTable(order=n, entries=tuple(rows))
-        return
-    i, j = cells[k]
-    ij, ji = i * n + j, j * n + i
-    for v in range(n) if values is None else values:
-        if v == 0 and i == j and require_reduced:
-            continue  # a zero square would make i nilpotent
-        t[ij] = v
-        t[ji] = v
-        if _watch_ok(n, t, rank, watch[k], k) and not (test and _beaten(n, t, *test)):
-            yield from _descend(n, cells, rank, watch, t, k + 1, require_reduced, tests)
-    t[ij] = 0
-    t[ji] = 0
 
 
 def _to_front(sigma, pos, cs, ce, x) -> int:
@@ -343,15 +317,39 @@ def _iso_tests(n, cells):
 
 
 def _generate(opts: EnumerationOptions, pinned: int | None = None):
-    """The tables for opts; only those with pinned in the first free cell if given."""
+    """The tables for opts; only those with pinned in the first free cell if given.
+
+    tests[k] is None or the canonicity test (a _rows_test) run once cell k
+    of the flat table t is filled; tests[len(cells)] is the leaf's.
+    """
     n = opts.order
     cells = _cells(n)
     rank, watch = _prepare(n, cells)
     tests = _iso_tests(n, cells) if opts.up_to_iso else [None] * (len(cells) + 1)
-    values = None if pinned is None else (pinned,)
-    yield from _descend(
-        n, cells, rank, watch, [0] * (n * n), 0, opts.require_reduced, tests, values
-    )
+    require_reduced = opts.require_reduced
+    t = [0] * (n * n)
+
+    def descend(k, values=None):
+        """Complete tables from cell k on, cell k taking values (default: all)."""
+        test = tests[k]
+        if k == len(cells):
+            if _assoc_full(n, t) and not (test and _beaten(n, t, *test)):
+                rows = [tuple(t[r * n:(r + 1) * n]) for r in range(n)]
+                yield CayleyTable(order=n, entries=tuple(rows))
+            return
+        i, j = cells[k]
+        ij, ji = i * n + j, j * n + i
+        for v in range(n) if values is None else values:
+            if v == 0 and i == j and require_reduced:
+                continue  # a zero square would make i nilpotent
+            t[ij] = v
+            t[ji] = v
+            if _watch_ok(n, t, rank, watch[k], k) and not (test and _beaten(n, t, *test)):
+                yield from descend(k + 1)
+        t[ij] = 0
+        t[ji] = 0
+
+    yield from descend(0, None if pinned is None else (pinned,))
 
 
 def _branch_entries(opts: EnumerationOptions, pinned: int):
@@ -368,10 +366,7 @@ def enumerate_semigroups(opts: EnumerationOptions, workers: int = 1):
     """
     n = opts.order
     if workers <= 1 or opts.limit is not None:
-        gen = _generate(opts)
-        if opts.limit is not None:
-            gen = itertools.islice(gen, opts.limit)
-        for tb in gen:
+        for tb in itertools.islice(_generate(opts), opts.limit):
             yield Semigroup(tb)
         return
     from concurrent.futures import ProcessPoolExecutor
@@ -412,14 +407,14 @@ class AuditReport:
         return not self.counterexamples
 
 
-def audit(opts: EnumerationOptions, size_cap: int = DEFAULT_CUTSET_CAP, workers: int = 1) -> AuditReport:
-    """Run every structure check and the background facts over a corpus."""
+def audit(opts: EnumerationOptions, workers: int = 1) -> AuditReport:
+    """Run every structure check (default cutset cap) and the background facts over a corpus."""
     tallies: dict[str, list[int]] = {}
     counterexamples = []
     total = 0
     for s in enumerate_semigroups(opts, workers=workers):
         total += 1
-        for c in itertools.chain(*run_all(s, size_cap).values(), check_gamma_facts(s)):
+        for c in itertools.chain(*run_all(s).values(), check_gamma_facts(s)):
             row = tallies.setdefault(c.theorem_id, [0, 0, 0])
             if not c.applicable:
                 continue

@@ -7,13 +7,13 @@ pruning over asymptotic tricks.
 
 A graph stores its adjacency once, as one bitmask of neighbour positions
 per vertex, and every traversal is the layered bitmask BFS of
-``Graph._reach``: components, distances, girth, 2-colourability and the
-separator searches. A graph is immutable, so what it derives is computed
-at most once and kept on it: components, the BFS layers from every
-vertex, the distances and eccentricities of ``metrics``, girth and the
-clique number, each in one place. A semigroup likewise builds Γ and Γ̄
-once (see ``Semigroup._gamma``), so every checker of one semigroup
-shares one graph and one metrics object.
+``Graph._reach``: components, distances, girth and the separator
+searches. A graph is immutable, so what it derives is computed at most
+once and kept on it: components, the BFS layers from every vertex, the
+distances and eccentricities of ``metrics``, girth and the clique
+number, each in one place; 2-colourability reads those cached layers.
+A semigroup likewise builds Γ and Γ̄ once (see ``Semigroup._gamma``), so
+every checker of one semigroup shares one graph and one metrics object.
 
 The separator searches avoid trying every edge subset up to the cap,
 which costs E^cap. ``bonds`` is the one edge-separator search: a DFS
@@ -80,13 +80,6 @@ class Graph:
             self.labels = tuple(str(labels[v]) for v in vs)
         self._mask = tuple(masks)
 
-    def _with_masks(self, masks) -> "Graph":
-        """The same vertices and labels over other adjacency masks."""
-        g = object.__new__(Graph)
-        g.vertices, g._pos, g.labels = self.vertices, self._pos, self.labels
-        g._mask = tuple(masks)
-        return g
-
     # -- structure ---------------------------------------------------------
 
     @property
@@ -126,10 +119,7 @@ class Graph:
     def induced(self, t) -> "Graph":
         """Induced subgraph on the element subset t, mapping inherited."""
         keep = sorted(set(t))
-        for v in keep:
-            if v not in self._pos:
-                raise UnknownVertexError("%r is not a vertex" % (v,))
-        label_map = {v: self.labels[self._pos[v]] for v in keep}
+        label_map = {v: self.labels[self.position(v)] for v in keep}
         keep_set = set(keep)
         es = [(u, v) for (u, v) in self.edges() if u in keep_set and v in keep_set]
         return Graph(keep, es, label_map)
@@ -206,15 +196,15 @@ class Graph:
         return len(self._components) <= 1
 
     def is_bipartite(self) -> bool:
-        """True iff there is no odd cycle: no edge inside a BFS layer."""
+        """True iff there is no odd cycle: no edge inside a BFS layer from
+        the least position of any component."""
         masks = self._mask
-        for comp in self._components:
-            layers: list[int] = []
-            self._reach(comp & -comp, comp, layers)
-            for layer in layers:
-                if any(masks[v] & layer for v in _positions(layer)):
-                    return False
-        return True
+        return not any(
+            masks[v] & layer
+            for comp in self._components
+            for layer in self._bfs_layers[(comp & -comp).bit_length() - 1]
+            for v in _positions(layer)
+        )
 
     # -- derived values, each computed once ------------------------------------
 
@@ -401,12 +391,9 @@ def minimal_vertex_cutsets(g: Graph, size_cap: int = DEFAULT_CUTSET_CAP) -> tupl
 def components_without_edges(g: Graph, removed_edges) -> list[frozenset[int]]:
     """Components of g minus the given edges, as position sets ordered by
     least position. The package itself reads the sides of a cut from bonds."""
-    masks = list(g._mask)
-    for (u, v) in removed_edges:
-        i, j = g.position(u), g.position(v)
-        masks[i] &= ~(1 << j)
-        masks[j] &= ~(1 << i)
-    return [frozenset(_positions(c)) for c in g._with_masks(masks)._split((1 << g.n) - 1)]
+    gone = {frozenset((g.position(u), g.position(v))) for u, v in removed_edges}
+    kept = [(u, v) for u, v in g.edges() if frozenset((g.position(u), g.position(v))) not in gone]
+    return [frozenset(_positions(c)) for c in Graph(g.vertices, kept)._components]
 
 
 def bonds(g: Graph, size_cap: int = DEFAULT_CUTSET_CAP):

@@ -227,12 +227,10 @@ class Semigroup:
 
     @cached_property
     def _zero_divisor_tuple(self) -> tuple[int, ...]:
-        out = []
-        for x in range(1, self.n):
-            row = self._rows[x]
-            if any(row[y] == 0 for y in range(1, self.n)):
-                out.append(x)
-        return tuple(out)
+        # x is a zero divisor iff Ann(x) holds more than 0
+        return tuple(sorted(
+            x for ann, xs in self._annihilator_classes if len(ann) > 1 for x in xs
+        ))
 
     def zero_divisors(self) -> frozenset[int]:
         """Z(S): elements with a nonzero annihilating partner, plus 0."""
@@ -370,8 +368,8 @@ class Semigroup:
     def maximal_annihilators(self) -> tuple[tuple[int, frozenset[int]], ...]:
         """Inclusion-maximal annihilators of nonzero elements.
 
-        These are always prime ideals; the structure checkers re-verify
-        that through is_prime_ideal rather than assuming it.
+        These are always prime ideals; the lem-2.8 checker looks each one
+        up among the associated primes rather than assuming it.
         """
         return self._maximal_annihilators
 

@@ -297,9 +297,10 @@ def check_ass_properties(s) -> tuple[Verdict, ...]:
             "no nonzero elements, hence no annihilators to inspect",
         ))
     else:
+        # _associated tested every annihilator class, the maximal ones too
+        primes = {p for _, p in s.associated_primes()}
         recs = [
-            {"witness": w, "annihilator": sorted(a),
-             "prime": s._is_prime_ideal(a)}
+            {"witness": w, "annihilator": sorted(a), "prime": a in primes}
             for w, a in maxanns
         ]
         clauses.append(_v(
@@ -375,6 +376,9 @@ def check_rpartite(s) -> tuple[Verdict, ...]:
     partition = [sorted(p) for p in parts] if parts else None
     reduced = s.is_reduced()
     part_sizes = sorted(len(p) for p in parts) if parts else None
+    # thm-3.1 (reduced) and thm-3.6 (all parts >= 2) share one test per part
+    tested = parts if parts is not None and (reduced or part_sizes[0] >= 2) else ()
+    part_ideal = {p: s._is_ideal(p | {0}) for p in tested}
     clauses = []
 
     if parts is None:
@@ -401,7 +405,7 @@ def check_rpartite(s) -> tuple[Verdict, ...]:
     else:
         zstar = frozenset(g.vertices)
         recs = [
-            {"part": sorted(p), "part_ideal": s._is_ideal(p | {0}),
+            {"part": sorted(p), "part_ideal": part_ideal[p],
              "complement_prime": s._is_prime_ideal((zstar - p) | {0})}
             for p in parts
         ]
@@ -454,9 +458,6 @@ def check_rpartite(s) -> tuple[Verdict, ...]:
 
     if parts is not None and all(sz >= 2 for sz in part_sizes):
         nil = s._nilpotent_tuple[1:]
-        part_ideals = {
-            tuple(sorted(p)): s._is_ideal(set(p) | {0}) for p in parts
-        }
         nil_recs = {
             x: {"square_zero": s._rows[x][x] == 0,
                 "orbit": sorted(_orbit(s, x))}
@@ -464,7 +465,7 @@ def check_rpartite(s) -> tuple[Verdict, ...]:
         }
         per_part_nil = [sum(1 for x in nil if x in p) for p in parts]
         ok = (
-            all(part_ideals.values())
+            all(part_ideal.values())
             and all(r["square_zero"] and set(r["orbit"]) <= {0, x}
                     for x, r in nil_recs.items())
             and all(c <= 1 for c in per_part_nil)
@@ -473,7 +474,7 @@ def check_rpartite(s) -> tuple[Verdict, ...]:
             "thm-3.6-reduced", True, ok,
             {
                 "part_ideals": [
-                    {"part": list(k), "ideal": v} for k, v in sorted(part_ideals.items())
+                    {"part": sorted(p), "ideal": part_ideal[p]} for p in sorted(parts, key=sorted)
                 ],
                 "nilpotents": [dict(r, element=x) for x, r in sorted(nil_recs.items())],
                 "nilpotents_per_part": per_part_nil,

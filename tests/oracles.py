@@ -432,3 +432,50 @@ def naive_gamma_bar_edges(rows):
         (x, y) for x in range(1, n) for y in range(x + 1, n)
         if all(rows[x][rows[s][y]] == 0 for s in range(n))
     }
+
+
+def naive_gamma(rows) -> Graph:
+    """Γ on Z(S)*, from the row-only vertex and edge oracles."""
+    return Graph(naive_zero_divisors(rows), naive_gamma_edges(rows))
+
+
+def naive_has_clique(g, k) -> bool:
+    """Some k vertices of g are pairwise adjacent, by checking every
+    k-subset."""
+    return any(
+        all(g.has_edge(u, v) for u, v in itertools.combinations(comb, 2))
+        for comb in itertools.combinations(g.vertices, k)
+    )
+
+
+# -- clause oracles, on table rows ---------------------------------------------------
+#
+# Each gives a clause's (applicable, holds) as run_all reports it, holds
+# being True wherever the clause does not apply.
+
+
+def naive_clique5_clause(rows, g=None):
+    """prop-2.9c: five or more associated primes force a 5-clique in Γ,
+    or in the graph g when one is given."""
+    if len(naive_associated_primes(rows)) < 5:
+        return False, True
+    return True, naive_has_clique(naive_gamma(rows) if g is None else g, 5)
+
+
+def naive_bridge_two_sided_clause(rows):
+    """thm-2.5, two-sided: an edge xy of Γ whose removal leaves two
+    components of at least two vertices each has Sx = {0, x} and
+    Sy = {0, y}, both minimal ideals."""
+    g = naive_gamma(rows)
+    ends = []
+    for e in g.edges():
+        comps = naive_components(g, [e])
+        if len(comps) == 2 and min(len(c) for c in comps) >= 2:
+            ends += e
+    if not ends:
+        return False, True
+    minimal = naive_minimal_ideals(rows)
+    # Sv is column v, which is row v in a commutative table
+    return True, all(
+        frozenset(rows[v]) == {0, v} and frozenset(rows[v]) in minimal for v in ends
+    )

@@ -8,8 +8,6 @@ monotonic clock around the complete piece of work.
 
 import math
 import random
-import subprocess
-import sys
 import time
 
 from zdg import (
@@ -33,6 +31,7 @@ from zdg import (
     validate,
 )
 from zdg.graph import components_without_edges
+from children import run_python
 from oracles import (
     brute_chromatic_number,
     brute_clique_number,
@@ -225,12 +224,7 @@ def test_10_command_output_is_deterministic():
         ("search", "--order", "4", "--predicate", "girth:3"),
     ]
     for argv in commands:
-        runs = [
-            subprocess.run(
-                [sys.executable, "-m", "zdg", *argv], capture_output=True
-            )
-            for _ in range(2)
-        ]
+        runs = [run_python("-m", "zdg", *argv) for _ in range(2)]
         assert runs[0].returncode == runs[1].returncode == 0
         assert runs[0].stdout == runs[1].stdout
     print("ACCEPTANCE 10 PASS: %d commands byte-identical across "

@@ -3,13 +3,13 @@
 import argparse
 import io
 import json
-import subprocess
 import sys
 
 import pytest
 
 from zdg import sgt
 from zdg.cli import main
+from children import run_python
 
 
 def run_cli(capsys, *argv):
@@ -19,9 +19,7 @@ def run_cli(capsys, *argv):
 
 
 def run_proc(*argv):
-    proc = subprocess.run(
-        [sys.executable, "-m", "zdg", *argv], capture_output=True
-    )
+    proc = run_python("-m", "zdg", *argv)
     return proc.returncode, proc.stdout, proc.stderr
 
 
@@ -44,7 +42,7 @@ def test_repeated_main_calls_build_the_parser_once(capsys, monkeypatch):
 def test_import_leaves_the_process_pool_unloaded():
     # only a --workers run above 1 needs concurrent.futures
     code = "import sys, zdg, zdg.cli; print('concurrent.futures' in sys.modules)"
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True)
+    proc = run_python("-c", code)
     assert (proc.returncode, proc.stdout) == (0, b"False\n")
 
 

@@ -375,6 +375,18 @@ def test_dot_output_mentions_every_vertex_and_edge():
     assert out.startswith("graph gamma {")
 
 
+def test_bipartiteness_reads_the_cached_layers(monkeypatch):
+    g = gamma(powerset_semigroup(5))
+    expected = Graph(g.vertices, g.edges()).is_bipartite()
+    metrics(g)
+
+    def refuse(self, *args):
+        raise AssertionError("a second BFS")
+
+    monkeypatch.setattr(Graph, "_reach", refuse)
+    assert g.is_bipartite() is expected is False
+
+
 def test_induced_subgraph_of_ex34():
     g = gamma(builtin_example("ex3.4"))
     sub = g.induced([1, 2, 3])  # a, b, c

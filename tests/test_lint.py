@@ -45,7 +45,7 @@ def test_package_does_not_enumerate_subsets_or_permutations():
 
 
 GRAPH_INTERNALS = {
-    "_mask", "_reach", "_split", "_union_tables", "_bfs_layers", "_with_masks",
+    "_mask", "_reach", "_split", "_union_tables", "_bfs_layers",
 }
 
 

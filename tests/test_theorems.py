@@ -1,9 +1,13 @@
 """Structure checks: verdict mechanics and expected outcomes on fixtures."""
 
+import itertools
+
 import pytest
 
 from zdg import (
     CayleyTable,
+    EnumerationOptions,
+    Graph,
     Semigroup,
     builtin_example,
     check_ass_properties,
@@ -13,6 +17,7 @@ from zdg import (
     check_median_center_ideals,
     check_nilpotent_subgraph,
     check_rpartite,
+    enumerate_semigroups,
     failures,
     group_with_zero,
     matches_selector,
@@ -20,8 +25,10 @@ from zdg import (
     orthogonal_union,
     powerset_semigroup,
     run_all,
+    theorems,
     validate,
 )
+from oracles import naive_bridge_two_sided_clause, naive_clique5_clause
 
 
 def flat(checks):
@@ -205,6 +212,64 @@ def test_clique5_clause_applies_to_powerset5():
     c5 = clause(v, "prop-2.9c-clique-5")
     assert c5.applicable and c5.holds
     assert c5.witness["count"] == 5
+
+
+@pytest.mark.parametrize("name", ["powerset:4", "ex3.4"])
+def test_maximal_annihilators_reuse_the_associated_prime_tests(name, monkeypatch):
+    expected = check_ass_properties(builtin_example(name))
+    s = builtin_example(name)
+    s.associated_primes()
+
+    def refuse(self, members):
+        raise AssertionError("prime test run again on %r" % sorted(members))
+
+    monkeypatch.setattr(Semigroup, "_is_prime_ideal", refuse)
+    assert check_ass_properties(s) == expected
+
+
+# -- clause oracles ------------------------------------------------------------------------
+
+
+def clause_oracle_corpus():
+    """Raw tables of orders 2-4, the order-5 classes, and the builtins where
+    prop-2.9c (the two unions) and thm-2.5's two-sided case (ex3.4) apply."""
+    for order in (2, 3, 4):
+        yield from enumerate_semigroups(EnumerationOptions(order))
+    yield from enumerate_semigroups(EnumerationOptions(5, up_to_iso=True))
+    for name in ("ortho:powerset2+powerset3", "ortho:powerset2+powerset2+powerset2", "ex3.4"):
+        yield builtin_example(name)
+
+
+RARE_CLAUSES = {
+    "prop-2.9c-clique-5": naive_clique5_clause,
+    "thm-2.5-bridge-two-sided": naive_bridge_two_sided_clause,
+}
+
+
+def test_rarely_applicable_clauses_match_their_row_oracles():
+    applied = dict.fromkeys(RARE_CLAUSES, 0)
+    for s in clause_oracle_corpus():
+        checks = run_all(s)
+        for theorem_id, oracle in RARE_CLAUSES.items():
+            c = clause(checks, theorem_id)
+            assert (c.applicable, c.holds) == oracle(s.table.entries), (theorem_id, s.table)
+            applied[theorem_id] += c.applicable
+    # each applies twice: the two unions, and ex3.4 with its order-5 class
+    assert applied == dict.fromkeys(RARE_CLAUSES, 2)
+
+
+def test_clique5_clause_reads_its_conclusion_from_gamma(monkeypatch):
+    # no commutative table can fail prop-2.9c. Let Ann(x) and Ann(y) be
+    # prime with xy != 0. A z in Ann(y) has zsy = 0 for every s, so
+    # primeness puts z in Ann(x); the other way round too, so the two are
+    # equal. Witnesses of distinct associated primes thus form a clique.
+    # Only a graph without a 5-clique, given to checker and oracle alike,
+    # shows the conclusion evaluated.
+    s = builtin_example("ortho:powerset2+powerset3")
+    k4 = Graph(range(1, 5), itertools.combinations(range(1, 5), 2))
+    monkeypatch.setattr(theorems, "gamma", lambda _: k4)
+    c = clause(check_ass_properties(s), "prop-2.9c-clique-5")
+    assert (c.applicable, c.holds) == naive_clique5_clause(s.table.entries, k4) == (True, False)
 
 
 # -- complete multipartite structure ----------------------------------------------------------
