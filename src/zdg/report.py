@@ -4,12 +4,21 @@ The report format is JSON with sorted keys and a trailing newline, so
 identical inputs always produce byte-identical output. Infinite values
 (girth or diameter of an acyclic or disconnected graph) appear as the
 string "inf" because JSON has no infinity literal.
+
+``render`` writes the JSON itself, in one recursive pass straight into a
+list of strings. Its bytes equal those of ``json.dumps(..., indent=2,
+sort_keys=True)`` on the same tree with sets as sorted lists, keys as
+strings and infinities as "inf", but the json module only uses its C
+encoder when there is no indent, and its pure-Python indented encoder
+took most of the time of a report. The failure witness of
+``verdict_rows`` is the same writer's one-line form, the bytes of
+``json.dumps(..., sort_keys=True)``.
 """
 
 from __future__ import annotations
 
-import json
 import math
+from json.encoder import encode_basestring_ascii
 
 from .graph import (
     center,
@@ -23,23 +32,61 @@ from .graph import (
 )
 
 
-def jsonable(x):
-    """Recursively convert a value tree into JSON-encodable form."""
-    if isinstance(x, bool) or x is None or isinstance(x, (str, int)):
-        return x
-    if isinstance(x, float):
-        return "inf" if math.isinf(x) else x
-    if isinstance(x, dict):
-        return {str(k): jsonable(v) for k, v in x.items()}
-    if isinstance(x, (set, frozenset)):
-        return [jsonable(v) for v in sorted(x)]
-    if isinstance(x, (list, tuple)):
-        return [jsonable(v) for v in x]
-    raise TypeError("cannot serialize %r" % type(x).__name__)
+def _write(x, out: list, nl: str | None) -> None:
+    """Append the JSON text of the value tree x to out. nl is the newline
+    and indentation that x's own line starts with, or None for one line.
+
+    Dicts get string keys in sorted order and sets come sorted; a float
+    is "inf" for either infinity and NaN for NaN, as in json.
+    """
+    if x is None:
+        out.append("null")
+    elif isinstance(x, bool):
+        out.append("true" if x else "false")
+    elif isinstance(x, int):
+        out.append(int.__repr__(x))
+    elif isinstance(x, str):
+        out.append(encode_basestring_ascii(x))
+    elif isinstance(x, float):
+        out.append('"inf"' if math.isinf(x) else "NaN" if x != x else float.__repr__(x))
+    elif isinstance(x, dict):
+        _write_items(sorted({str(k): v for k, v in x.items()}.items()), out, nl, "{}")
+    elif isinstance(x, (set, frozenset)):
+        _write_items(sorted(x), out, nl, "[]")
+    elif isinstance(x, (list, tuple)):
+        _write_items(x, out, nl, "[]")
+    else:
+        raise TypeError("cannot serialize %r" % type(x).__name__)
+
+
+def _write_items(items, out: list, nl: str | None, brackets: str) -> None:
+    """The members of a list, or the (key, value) pairs of a dict, inside
+    brackets; each member on its own line, indented one step, unless nl
+    is None."""
+    if not items:
+        out.append(brackets)
+        return
+    inner = nl and nl + "  "
+    sep = "," + inner if inner else ", "
+    out.append(brackets[0] + (inner or ""))
+    for i, item in enumerate(items):
+        if i:
+            out.append(sep)
+        if brackets == "{}":
+            out.append(encode_basestring_ascii(item[0]) + ": ")
+            item = item[1]
+        _write(item, out, inner)
+    out.append((nl or "") + brackets[1])
+
+
+def _json(x, nl: str | None) -> str:
+    out: list[str] = []
+    _write(x, out, nl)
+    return "".join(out)
 
 
 def render(block) -> str:
-    return json.dumps(jsonable(block), indent=2, sort_keys=True) + "\n"
+    return _json(block, "\n") + "\n"
 
 
 # -- block builders ------------------------------------------------------------
@@ -179,10 +226,7 @@ def verdict_rows(clauses) -> str:
             applicable += 1
         lines.append("%-*s  %s  %s" % (width, c.theorem_id, status, c.notes))
         if c.failed:
-            lines.append(
-                "%-*s         witness: %s"
-                % (width, "", json.dumps(jsonable(c.witness), sort_keys=True))
-            )
+            lines.append("%-*s         witness: %s" % (width, "", _json(c.witness, None)))
     lines.append(
         "%d applicable, %d hold, %d fail, %d not applicable"
         % (applicable, held, applicable - held, len(clauses) - applicable)

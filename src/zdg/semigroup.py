@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 
 from .errors import (
     EmptyPartListError,
@@ -126,9 +127,17 @@ def validate(table: CayleyTable, max_violations: int = 20) -> "Semigroup":
                     "%s*%s = %s but %s*%s = %s"
                     % (name(x), name(y), name(t[x][y]), name(y), name(x), name(t[y][x])),
                 )
+    # times[y](t[x]) is the row z -> x(yz), compared whole against the
+    # row z -> (xy)z; only a pair whose rows differ is checked per z. At
+    # order 1 itemgetter returns a bare entry, never equal to a row, so
+    # the one pair goes through the per-z check.
+    times = [itemgetter(*row) for row in t]
     for x in range(n):
+        row_x = t[x]
         for y in range(n):
-            xy = t[x][y]
+            xy = row_x[y]
+            if t[xy] == times[y](row_x):
+                continue
             for z in range(n):
                 left = t[xy][z]
                 right = t[x][t[y][z]]

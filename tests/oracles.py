@@ -8,6 +8,7 @@ sizes the tests use.
 """
 
 import itertools
+import json
 import math
 import random
 from collections import deque
@@ -479,3 +480,67 @@ def naive_bridge_two_sided_clause(rows):
     return True, all(
         frozenset(rows[v]) == {0, v} and frozenset(rows[v]) in minimal for v in ends
     )
+
+
+# -- report text and table validation ----------------------------------------
+
+
+def _jsonable(x):
+    """The value tree as json.dumps takes it: sets as sorted lists, keys
+    as strings, either infinity as the string "inf"."""
+    if isinstance(x, bool) or x is None or isinstance(x, (str, int)):
+        return x
+    if isinstance(x, float):
+        return "inf" if math.isinf(x) else x
+    if isinstance(x, dict):
+        return {str(k): _jsonable(v) for k, v in x.items()}
+    if isinstance(x, (set, frozenset)):
+        return [_jsonable(v) for v in sorted(x)]
+    if isinstance(x, (list, tuple)):
+        return [_jsonable(v) for v in x]
+    raise TypeError("cannot serialize %r" % type(x).__name__)
+
+
+def naive_render(block) -> str:
+    """A report through the json module: indented, keys sorted."""
+    return json.dumps(_jsonable(block), indent=2, sort_keys=True) + "\n"
+
+
+def naive_witness_text(witness) -> str:
+    """A witness on one line through the json module, keys sorted."""
+    return json.dumps(_jsonable(witness), sort_keys=True)
+
+
+def naive_violations(rows, names=None, max_violations=20):
+    """(violations, truncated) as validation reports them: every
+    violated zero, commutativity and associativity law in that order,
+    cut to the first max_violations."""
+    n = len(rows)
+
+    def nm(x):
+        return names[x] if names else str(x)
+
+    found = []
+    for x in range(n):
+        if rows[0][x] != 0 or rows[x][0] != 0:
+            found.append(("zero-not-absorbing", (x,), "0*%s or %s*0 is not 0" % (nm(x), nm(x))))
+    for x in range(n):
+        for y in range(x + 1, n):
+            if rows[x][y] != rows[y][x]:
+                found.append((
+                    "not-commutative", (x, y),
+                    "%s*%s = %s but %s*%s = %s" % (
+                        nm(x), nm(y), nm(rows[x][y]), nm(y), nm(x), nm(rows[y][x])),
+                ))
+    for x in range(n):
+        for y in range(n):
+            for z in range(n):
+                left = rows[rows[x][y]][z]
+                right = rows[x][rows[y][z]]
+                if left != right:
+                    found.append((
+                        "not-associative", (x, y, z),
+                        "(%s*%s)*%s = %s but %s*(%s*%s) = %s" % (
+                            nm(x), nm(y), nm(z), nm(left), nm(x), nm(y), nm(z), nm(right)),
+                    ))
+    return found[:max_violations], len(found) > max_violations

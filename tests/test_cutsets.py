@@ -1,11 +1,13 @@
 """Separator searches against the brute-force oracles, plus large pins."""
 
 import hashlib
+import itertools
 import random
 
 import pytest
 
 from zdg import (
+    CayleyTable,
     DisconnectedError,
     EnumerationOptions,
     Graph,
@@ -18,8 +20,10 @@ from zdg import (
     gamma_bar,
     minimal_edge_cutsets,
     minimal_vertex_cutsets,
+    validate,
 )
 from zdg.cli import main
+from zdg.graph import _separator_cutsets, _subset_cutsets
 from oracles import (
     brute_minimal_edge_cutsets,
     brute_minimal_vertex_cutsets,
@@ -107,6 +111,35 @@ def test_cutsets_match_oracles_on_random_graphs():
     assert assert_matches_oracles(connected_random_graphs(200)) == 200
 
 
+def vertex_sets(g, masks):
+    return sorted(sorted(g.vertices[i] for i in range(g.n) if m >> i & 1) for m in masks)
+
+
+def test_vertex_cutsets_match_oracle_at_caps_5_and_6():
+    # the edge oracle is too slow at these caps, so this compares the
+    # vertex search alone; caps above n - 2 leave no room for a cutset.
+    # Each of its two searches is compared on its own at every cap too,
+    # since which one answers depends on the graph and the cap
+    seen = set()
+    graphs = itertools.chain(
+        corpus_graphs(), example_graphs(), connected_random_graphs(200))
+    for g in graphs:
+        key = (g.vertices, g.edges())
+        if g.n < 3 or key in seen:
+            continue
+        seen.add(key)
+        brute = brute_minimal_vertex_cutsets(g, 6)
+        for cap in (5, 6):
+            assert minimal_vertex_cutsets(g, cap) == tuple(t for t in brute if len(t) <= cap)
+        for cap in range(1, min(6, g.n - 2) + 1):
+            want = sorted(sorted(t) for t in brute if len(t) <= cap)
+            assert vertex_sets(g, _separator_cutsets(g, cap, g.n ** 3)) == want
+            assert vertex_sets(g, _subset_cutsets(g, cap)) == want
+    # 15 corpus, 16 example and 199 random graphs of 3 or more vertices,
+    # 3 of them found twice
+    assert len(seen) == 227
+
+
 def test_edge_cutsets_leave_two_connected_sides():
     g = gamma(builtin_example("powerset:4"))
     for cut in minimal_edge_cutsets(g):
@@ -158,6 +191,77 @@ def test_complete_k23_cutsets():
         assert cut == tuple(sorted(
             (min(u, v), max(u, v)) for u in g.vertices if u != v
         ))
+
+
+def test_vertex_cutsets_of_k15_16_need_few_searches(monkeypatch):
+    # Γ(ortho:zg16+zg17) is K15,16, whose least vertex cut has 15
+    # vertices: a search over vertex subsets visits all C(31, <=6) of
+    # them at cap 6, the closure over minimal separators finds just the
+    # two parts
+    g = gamma(builtin_example("ortho:zg16+zg17"))
+    assert (g.n, g.edge_count) == (31, 240)
+    calls = 0
+    reach = Graph._reach
+
+    def counted(self, *args):
+        nonlocal calls
+        calls += 1
+        return reach(self, *args)
+
+    monkeypatch.setattr(Graph, "_reach", counted)
+    assert minimal_vertex_cutsets(g, 6) == ()
+    assert 0 < calls < 2000
+
+
+def hub_paths_with_apex():
+    """A commutative table whose Γ is two hubs joined by 9 paths of 4
+    edges, plus an apex b joined to every other vertex.
+
+    Elements 1..29 are the graph's vertices, 0 the zero and 30 is b:
+    xy = 0 on the edges and xy = b otherwise, while 0 and b annihilate
+    everything, so every product of three elements is 0. The 3^9 ways
+    to cut each path once at an inner vertex, with b, are minimal
+    separators of 10 vertices, so the closure over minimal separators
+    has 19,683 and more to list whatever the cap.
+    """
+    edges = []
+    for p in range(9):
+        inner = [2 + 3 * p + k for k in range(3)]
+        chain = [0, *inner, 1]
+        edges += zip(chain, chain[1:])
+    adjacent = {frozenset((u + 1, v + 1)) for u, v in edges}
+    rows = [[0] * 31 for _ in range(31)]
+    for x in range(1, 30):
+        for y in range(1, 30):
+            rows[x][y] = 0 if frozenset((x, y)) in adjacent else 30
+    return validate(CayleyTable.from_rows(rows))
+
+
+# Graph._reach calls of the subset search alone on the graph above, as
+# measured at the commit before the closure: at cap 1 and at cap 4
+SUBSET_SEARCH_REACH_CALLS = {1: 31, 4: 33_324}
+
+
+@pytest.mark.parametrize("cap", [1, 4])
+def test_vertex_cutsets_of_many_separators_cost_no_more_than_subsets(monkeypatch, cap):
+    # the closure gives way to the subset search once it has spent an
+    # eighth of that search's bound, so the whole costs at most 9/8 of
+    # what the subset search alone did, plus the split that overran
+    g = gamma(hub_paths_with_apex())
+    assert (g.n, g.edge_count) == (30, 65)
+    want = brute_minimal_vertex_cutsets(g, cap)
+    assert len(want) == {1: 0, 4: 46}[cap]
+    calls = 0
+    reach = Graph._reach
+
+    def counted(self, *args):
+        nonlocal calls
+        calls += 1
+        return reach(self, *args)
+
+    monkeypatch.setattr(Graph, "_reach", counted)
+    assert minimal_vertex_cutsets(g, cap) == want
+    assert calls <= SUBSET_SEARCH_REACH_CALLS[cap] * 9 // 8 + g.n
 
 
 # confirmed once against brute_minimal_edge_cutsets and

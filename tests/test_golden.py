@@ -2,9 +2,11 @@
 
 Each digest is the sha256 of the bytes a refactor of the graph, semigroup
 or theorem layers must leave unchanged: the up-to-isomorphism audit
-report of orders 2-5 and the stdout of `zdg check` and `zdg invariants`
+report of orders 2-5, the stdout of `zdg check` and `zdg invariants`
 on builtin examples, in both --format report and the default text
-format (powerset:5 checked at cutset cap 3 to stay fast).
+format (powerset:5 checked at cutset cap 3 to stay fast), and the
+--format report stdout of `zdg graph` and `zdg example` on the same
+examples.
 """
 
 import contextlib
@@ -160,6 +162,74 @@ COMMAND_DIGESTS = {
         "f8a986d5726d17cf4bbbcc9babd02d4b1195d2d2f8517f7e75c69252b2c7fb7f",
     "invariants powerset:5":
         "92995fb837ecfc8ce143e90a82df259ed7f656218ce73a0df545644df80ac874",
+    "graph ex3.4 --format report":
+        "bab3b4ff4b56cf8d26066ec277bdc4e5accdd7dd67d2b34b37732972c5a02474",
+    "graph ex3.5 --format report":
+        "8f66bbf9c4515902d8036d9740063b9551b397bcd402f2696d057c98d9b9ec70",
+    "graph ex3.8 --format report":
+        "8353d14000aec453cd48e3d9dd6451e360de94a13f871408a1b24846e56437a6",
+    "graph ex4.3 --format report":
+        "5d719f12d2233feec1580583dfdfadf0bfe4ef647655e77bed648eeeb671c392",
+    "graph ex4.5 --format report":
+        "429f3b12af57df6da5d287fa058086dd855c5f9154028c5574736aa48dc8d08f",
+    "graph zg:6 --format report":
+        "85ffb98b6bd4178a6557b1e7b12769669bb8615fc838cc371fea78c2ff7e2d4e",
+    "graph null:8 --format report":
+        "5223e80b93d4455e82e65c3df0599fb6f24ce949cd183a4ad037370ac08616ad",
+    "graph null:10 --format report":
+        "921ef7902b0338c86b39c20b54b503cd0991e7a38044fc075227470d6f88c243",
+    "graph null:11 --format report":
+        "57b6e7496edd60cae435bfc6c5ebc8b80202e21ec00a4b32b72c49ff0fcfd62b",
+    "graph powerset:4 --format report":
+        "81fe55bb450ae9c3b79fdecd5b38521e72e570a77f46d2e2444780d252850db5",
+    "graph ortho:zg3+zg3 --format report":
+        "3da409d437d5c1e5a3b5efe660676f46d993181b6f8e972389267e24c2deb379",
+    "graph ortho:null3+null4 --format report":
+        "9a3e17cbd42df82b4438c098b7e8e89bc4d7dfc4f0bf5d00290995e8313d282d",
+    "graph ortho:powerset2+powerset2 --format report":
+        "777eaf20f2cff9037d10321aac1a7f25a7270cf5d5c1eff5d7a9777e55b391a8",
+    "graph ortho:powerset2+powerset3 --format report":
+        "2ae852f26a01c21a71bc25827fe7510cdb64f8cc79ff1be894cb063a212fb8e0",
+    "graph ortho:null4+powerset3 --format report":
+        "b743a19ef827fae9f217cad0db30fd04f10c893f50e3dbe69e0b23ac6ac52655",
+    "graph ortho:null4+null4+zg3 --format report":
+        "6b0c968250a6179355dc66b66446df4243bdabec2f3b76768e5ecc0d825a87fb",
+    "graph powerset:5 --format report":
+        "59d1d7386b00aec186f4a48b01ad2bad19101e57d18a9a7d57108aac93b7ab71",
+    "example ex3.4 --format report":
+        "217fc5563d6da94b71b9cf17493d78a94f082de76bfc124ab3d5d0067ac814b4",
+    "example ex3.5 --format report":
+        "41b310fac4e3b60e0c02ec1d297a356d45ca43bb85f0b816196e24fabe3acdb3",
+    "example ex3.8 --format report":
+        "98ae32e266a0329f946bd556db6a536f6ece50c7bba231024df771c3f1577620",
+    "example ex4.3 --format report":
+        "b40feeb84aa9e593977f84d577035e2dd4d3cda01e5693b9d6458d2aac148856",
+    "example ex4.5 --format report":
+        "ff39e914e43a0867225581d926e1e0e2911c25ec2e7c33f8a85b2d1f737c64a9",
+    "example zg:6 --format report":
+        "378a1705fb250ad0e2b975f486b065d7efab65e0593d5827af3446f3f60228cf",
+    "example null:8 --format report":
+        "3597f2da907944e9f9924629207644b47502fa5257f01471e889f7862dfcb5c3",
+    "example null:10 --format report":
+        "08a959cea3bda45951de587bf1155c971e0a8f81a6861ef377cce67b579e3f9d",
+    "example null:11 --format report":
+        "6e6165128f78319a6c17440a3dac741ab951f6b3a45d86d848d03e5ce5652358",
+    "example powerset:4 --format report":
+        "e06613f55aa94074cd56d7c7f3815b9feba6f561777c3f21cbd5e299741251fe",
+    "example ortho:zg3+zg3 --format report":
+        "c517ddfe04e3b8dce721b8da221d31b90fd89aeda75e1c83bdb8dbe8a20c3a1d",
+    "example ortho:null3+null4 --format report":
+        "123b746ec4da25d5a80c003238f3d828157940e2f830896e25b5a0419e89d13d",
+    "example ortho:powerset2+powerset2 --format report":
+        "ff212f000049abaa28d820ce7eaf03bacb92e56f48291be2cd809407c717927d",
+    "example ortho:powerset2+powerset3 --format report":
+        "f1fc661b31c752dc224db779d506180c944efa70a5c3aad4452d93d26022cb24",
+    "example ortho:null4+powerset3 --format report":
+        "e8e493a78158c76532cf9be9ac3ffdea9f7ad5e17f264fa69bc4665a19ea4c02",
+    "example ortho:null4+null4+zg3 --format report":
+        "8bbfc71a156e8030be8e6a3ca91cdeedf5abbf88a2107e4ad8724d08724f0bce",
+    "example powerset:5 --format report":
+        "d9be0535277a53fdc3d627c46d43f0672d6e39bccc6e4221ebf723f274cd1cd8",
 }
 
 

@@ -1,5 +1,7 @@
 """Semigroup validation, ideals, annihilators and builders."""
 
+import random
+
 import pytest
 
 from zdg import (
@@ -27,6 +29,7 @@ from oracles import (
     naive_is_prime_ideal,
     naive_maximal_annihilators,
     naive_minimal_ideals,
+    naive_violations,
     subsets_with_zero,
 )
 
@@ -78,6 +81,54 @@ def test_violation_report_is_capped():
         validate(CayleyTable.from_rows(rows), max_violations=5)
     assert len(info.value.violations) == 5
     assert info.value.truncated
+
+
+# valid tables of every order from 1 to 8, the seeds of the corrupted ones
+VALIDATION_BASES = (
+    "null:1", "null:2", "zg:3", "ex3.5", "ex3.8", "powerset:2", "ex3.4",
+    "ortho:zg3+zg3", "ortho:null3+null4", "ex4.5", "null:8", "zg:8",
+    "powerset:3",
+)
+
+
+def corrupted_tables(rng, count):
+    """The order-1 table, whose rows are single entries that the
+    whole-row associativity comparison sees as bare values; then tables
+    with a few entries changed, some in symmetric pairs so that only
+    associativity breaks, plus some with every entry random; half of
+    them keep their names."""
+    bases = [builtin_example(eid).table for eid in VALIDATION_BASES]
+    assert sorted({t.order for t in bases}) == list(range(1, 9))
+    yield CayleyTable.from_rows([[0]])
+    for _ in range(count):
+        base = rng.choice(bases)
+        n = base.order
+        if rng.random() < 0.1:
+            rows = [[rng.randrange(n) for _ in range(n)] for _ in range(n)]
+        else:
+            rows = [list(r) for r in base.entries]
+            for _ in range(rng.randint(0, 4)):
+                i, j, v = rng.randrange(n), rng.randrange(n), rng.randrange(n)
+                rows[i][j] = v
+                if rng.random() < 0.5:
+                    rows[j][i] = v
+        yield CayleyTable.from_rows(rows, names=base.names if rng.random() < 0.5 else None)
+
+
+@pytest.mark.parametrize("max_violations", [1, 5, 20, 10_000])
+def test_violations_match_naive_triple_loop(max_violations):
+    invalid = 0
+    for table in corrupted_tables(random.Random(1729), 400):
+        want, truncated = naive_violations(table.entries, table.names, max_violations)
+        if not want:
+            assert validate(table, max_violations).table == table
+            continue
+        invalid += 1
+        with pytest.raises(ValidationError) as info:
+            validate(table, max_violations)
+        assert list(info.value.violations) == want
+        assert info.value.truncated == truncated
+    assert invalid > 200
 
 
 def test_malformed_rejects_out_of_range_entries():
