@@ -15,14 +15,17 @@ with x <= z only: the remaining instances follow by swapping factors.
 
 Up to isomorphism, a table is kept only when it is canonical: no
 relabeling fixing 0 makes it lex-smaller (it equals its canonical_form).
-The search tests this as it goes, with canonical_form's own search
-(_least) stopped at the first relabeling that beats the table:
+The search tests this as it goes, in the manner of Read's orderly
+generation, with canonical_form's own search (_least) stopped at the
+first relabeling that beats the table. A cell not yet filled holds the
+value n:
 
-- Once row r is complete, for 2 <= r <= n-3, the branch is dropped when
-  a relabeling that moves only labels 1..r makes rows 1..r smaller. By
-  commutativity those rows of the relabeled table read only rows 1..r
-  of the original, so every completion is beaten too. At r = n-2 the
-  test costs more than it saves.
+- Once row r is complete, for 1 <= r <= n-3, the branch is dropped when
+  some relabeling fixing 0 makes rows 1..r smaller before it reads an
+  unfilled cell. Every cell it read is then fixed in every completion,
+  so every completion is beaten too. A relabeling that reads an
+  unfilled cell while still tied is given up, not counted as beating.
+  At r = n-2 the test costs more than it saves.
 - A complete associative table is dropped when any relabeling fixing 0
   makes it smaller; only the tables kept become CayleyTables.
 
@@ -132,17 +135,16 @@ class _Beaten(Exception):
     """A candidate cell went below the bound."""
 
 
-def _least(t, n, cells, cs, ce, bound=None):
-    """Least cell values over the relabelings an ordered partition allows.
+def _least(t, n, cells, bound=None):
+    """Least cell values over the relabelings fixing 0.
 
     t is the flat n*n table and cells the (row, column) label pairs to
-    compare, in order. Labels cs[i] up to ce[i] (exclusive) form the
-    initial block holding label i; a relabeling permutes the labels of
-    each block among its members, so a label alone in its block stays
-    fixed. Returns the lex-least list of cell values. With a bound, it
-    returns None at the first candidate cell below the bound (the bound
-    is beaten), and the bound when no relabeling goes below it. See
-    canonical_form for the search.
+    compare, in order. Returns the lex-least list of cell values. With a
+    bound, it returns None at the first candidate cell below the bound
+    (the bound is beaten), and the bound when no relabeling goes below
+    it. There t may be partial: the value n marks an unfilled cell, and
+    a relabeling still tied with the bound stops, not beaten, at the
+    first unfilled cell it reads. See canonical_form for the search.
     """
     ncells = len(cells)
     cand = [0] * ncells
@@ -162,6 +164,8 @@ def _least(t, n, cells, cs, ce, bound=None):
             e = ce[b]
             if e - b == 1:
                 x = t[ra + sigma[b]]
+                if x == n:
+                    return False
                 v = pos[x]
                 if ce[v] - cs[v] > 1:
                     v = _to_front(sigma, pos, cs, ce, x)
@@ -178,10 +182,10 @@ def _least(t, n, cells, cs, ce, bound=None):
                 keyed = []
                 for i in range(b, e):
                     z = sigma[i]
-                    v = pos[t[ra + z]]
-                    if ce[v] - cs[v] > 1:
+                    x = t[ra + z]
+                    if x == n or ce[pos[x]] - cs[pos[x]] > 1:
                         return branch(c, tied, sigma, pos, cs, ce, b)
-                    keyed.append((v, z))
+                    keyed.append((pos[x], z))
                 keyed.sort()
                 values = [v for v, _ in keyed]
                 first = b
@@ -214,6 +218,8 @@ def _least(t, n, cells, cs, ce, bound=None):
             y = sigma[i]
             x = t[(y if a == lab else sigma[a]) * n + (y if b == lab else sigma[b])]
             # the label x would get if y took label lab
+            if x == n:
+                continue
             if x == y:
                 v = lab
             else:
@@ -225,7 +231,7 @@ def _least(t, n, cells, cs, ce, bound=None):
                 group = [y]
             elif v == vmin:
                 group.append(y)
-        if tied and vmin > best[c]:
+        if not group or tied and vmin > best[c]:
             return False
         updated = False
         for y in group:
@@ -240,24 +246,22 @@ def _least(t, n, cells, cs, ce, bound=None):
 
     identity = list(range(n))
     try:
-        walk(0, bound is not None, identity, identity[:], cs[:], ce[:])
+        # one block: labels 1..n-1
+        walk(0, bound is not None, identity, identity[:],
+             [0] + [1] * (n - 1), [1] + [n] * (n - 1))
     except _Beaten:
         return None
     return best
 
 
-def _rows_test(n, r):
-    """The cells of rows 1..r, and block starts and ends that put labels
-    1..r in one block and every other label alone."""
-    cells = [(a, b) for a in range(1, r + 1) for b in range(1, n)]
-    cs = [0] + [1] * r + list(range(r + 1, n))
-    ce = [1] + [r + 1] * r + list(range(r + 2, n + 1))
-    return cells, cs, ce
+def _rows(n, r):
+    """The cells of rows 1..r, columns 1..n-1."""
+    return [(a, b) for a in range(1, r + 1) for b in range(1, n)]
 
 
-def _beaten(n, t, cells, cs, ce) -> bool:
-    """True when some relabeling the blocks allow makes the cells smaller."""
-    return _least(t, n, cells, cs, ce, [t[a * n + b] for a, b in cells]) is None
+def _beaten(n, t, cells) -> bool:
+    """True when some relabeling fixing 0 makes the cells smaller."""
+    return _least(t, n, cells, [t[a * n + b] for a, b in cells]) is None
 
 
 def canonical_form(s) -> CayleyTable:
@@ -297,43 +301,45 @@ def canonical_form(s) -> CayleyTable:
         raise MalformedTableError("table entries must lie in 0..%d" % (n - 1))
     lo = 0 if any(t[:n]) or any(t[i * n] for i in range(n)) else 1
     cells = [(a, b) for a in range(lo, n) for b in range(lo, n)]
-    _, cs, ce = _rows_test(n, n - 1)
-    best = _least(t, n, cells, cs, ce)
     flat = [0] * (n * n)
-    for (a, b), v in zip(cells, best):
+    for (a, b), v in zip(cells, _least(t, n, cells)):
         flat[a * n + b] = v
     entries = tuple(tuple(flat[r * n:(r + 1) * n]) for r in range(n))
     return CayleyTable(order=n, entries=entries, names=None)
 
 
 def _iso_tests(n, cells):
-    """Per-cell canonicity tests: rows 1..r once row r is complete, for
-    2 <= r <= n-3, and the whole table at the leaf."""
-    tests = [None] * len(cells) + [_rows_test(n, n - 1)]
+    """Per-cell canonicity tests, each the cells _beaten compares: rows
+    1..r once row r is complete, for 1 <= r <= n-3, and the whole table
+    at the leaf. Rows 1..r read only filled cells under a relabeling that
+    maps labels 1..r into 1..r; any other relabeling may stop early at
+    an unfilled one."""
+    tests = [None] * len(cells) + [_rows(n, n - 1)]
     for k, (i, j) in enumerate(cells):
-        if j == n - 1 and 2 <= i <= n - 3:
-            tests[k] = _rows_test(n, i)
+        if j == n - 1 and i <= n - 3:
+            tests[k] = _rows(n, i)
     return tests
 
 
 def _generate(opts: EnumerationOptions, pinned: int | None = None):
     """The tables for opts; only those with pinned in the first free cell if given.
 
-    tests[k] is None or the canonicity test (a _rows_test) run once cell k
-    of the flat table t is filled; tests[len(cells)] is the leaf's.
+    tests[k] is None or the cells of the canonicity test run once cell k
+    of the flat table t is filled; tests[len(cells)] is the leaf's. A cell
+    of t not yet filled holds n.
     """
     n = opts.order
     cells = _cells(n)
     rank, watch = _prepare(n, cells)
     tests = _iso_tests(n, cells) if opts.up_to_iso else [None] * (len(cells) + 1)
     require_reduced = opts.require_reduced
-    t = [0] * (n * n)
+    t = [n if i and j else 0 for i in range(n) for j in range(n)]
 
     def descend(k, values=None):
         """Complete tables from cell k on, cell k taking values (default: all)."""
         test = tests[k]
         if k == len(cells):
-            if _assoc_full(n, t) and not (test and _beaten(n, t, *test)):
+            if _assoc_full(n, t) and not (test and _beaten(n, t, test)):
                 rows = [tuple(t[r * n:(r + 1) * n]) for r in range(n)]
                 yield CayleyTable(order=n, entries=tuple(rows))
             return
@@ -344,10 +350,10 @@ def _generate(opts: EnumerationOptions, pinned: int | None = None):
                 continue  # a zero square would make i nilpotent
             t[ij] = v
             t[ji] = v
-            if _watch_ok(n, t, rank, watch[k], k) and not (test and _beaten(n, t, *test)):
+            if _watch_ok(n, t, rank, watch[k], k) and not (test and _beaten(n, t, test)):
                 yield from descend(k + 1)
-        t[ij] = 0
-        t[ji] = 0
+        t[ij] = n
+        t[ji] = n
 
     yield from descend(0, None if pinned is None else (pinned,))
 

@@ -1,6 +1,7 @@
 """Exhaustive enumeration, canonical forms, audits and searches."""
 
 import collections
+import hashlib
 import itertools
 import math
 import random
@@ -32,8 +33,10 @@ from oracles import brute_canonical_form, burnside_class_count, naive_zero_table
 RAW_COUNTS = {2: 2, 3: 14, 4: 194}
 # class counts confirmed by the Burnside oracle, which counts automorphisms
 # of the raw corpus without canonical forms; order 6 has 1,538 classes, a
-# count checked the same way outside this suite
+# count checked the same way outside this suite and pinned below
 ISO_COUNTS = {2: 2, 3: 8, 4: 39, 5: 226}
+ORDER_6_CLASSES = 1538
+ORDER_6_DIGEST = "2848b35768a20ec8d4fb4116cc1c96b4bf679207d8d936491d45da5aa08c274b"
 
 # builtin examples of order <= 7, small enough for the brute-force oracle
 SMALL_EXAMPLES = (
@@ -129,6 +132,14 @@ def test_workers_preserve_serial_order_at_order_5(flags, count):
     opts = EnumerationOptions(order=5, **flags)
     serial = [t.entries for t in tables(opts)]
     assert len(serial) == count
+    assert [t.entries for t in tables(opts, workers=2)] == serial
+
+
+def test_order_6_classes_are_pinned_serially_and_with_workers():
+    opts = EnumerationOptions(order=6, up_to_iso=True)
+    serial = [t.entries for t in tables(opts)]
+    assert len(serial) == ORDER_6_CLASSES
+    assert hashlib.sha256(repr(serial).encode()).hexdigest() == ORDER_6_DIGEST
     assert [t.entries for t in tables(opts, workers=2)] == serial
 
 
@@ -235,35 +246,75 @@ def brute_filtered(opts):
 
 
 @pytest.fixture
-def prunes(monkeypatch):
-    """Canonicity tests that found a smaller relabeling, by last row read."""
-    beaten = collections.Counter()
+def canonicity_tests(monkeypatch):
+    """Canonicity tests run, by last row read and whether a smaller
+    relabeling was found."""
+    runs = collections.Counter()
     test = enumeration._beaten
 
-    def counted(n, t, cells, cs, ce):
-        hit = test(n, t, cells, cs, ce)
-        beaten[cells[-1][0]] += hit
+    def counted(n, t, cells):
+        hit = test(n, t, cells)
+        runs[cells[-1][0], hit] += 1
         return hit
 
     monkeypatch.setattr(enumeration, "_beaten", counted)
-    return beaten
+    return runs
 
 
 @pytest.mark.parametrize("reduced", (False, True))
 @pytest.mark.parametrize("order", (2, 3, 4, 5))
-def test_up_to_iso_stream_is_the_brute_filtered_raw_stream(order, reduced, prunes):
+def test_up_to_iso_stream_is_the_brute_filtered_raw_stream(
+    order, reduced, canonicity_tests
+):
     opts = EnumerationOptions(order, up_to_iso=True, require_reduced=reduced)
     assert [t.entries for t in tables(opts)] == brute_filtered(opts)
     if order == 5:
-        assert prunes[2] > 0  # the rows-1..2 prefix test dropped branches
+        # the row-1 and rows-1..2 prefix tests dropped branches
+        assert canonicity_tests[1, True] > 0
+        assert canonicity_tests[2, True] > 0
+    if order == 5 and not reduced:
+        # prefix tests over labels 1..r alone, from r = 2, ran 7,385 tests
+        assert sum(canonicity_tests.values()) == 2372
 
 
 @pytest.mark.parametrize("reduced", (False, True))
-def test_up_to_iso_head_of_order_6_is_the_brute_filtered_raw_head(reduced, prunes):
+def test_up_to_iso_head_of_order_6_is_the_brute_filtered_raw_head(
+    reduced, canonicity_tests
+):
     # the first 150 classes reach past the rows-1..3 prefix test's first prunes
     opts = EnumerationOptions(6, up_to_iso=True, require_reduced=reduced, limit=150)
     assert [t.entries for t in tables(opts)] == brute_filtered(opts)
-    assert prunes[3] > 0
+    assert canonicity_tests[3, True] > 0
+
+
+def partial_table(n, cells):
+    """A flat n*n table with the given upper-triangle cells filled (and
+    their mirrors), row and column 0 at 0, and n in every other cell."""
+    t = [n if i and j else 0 for i in range(n) for j in range(n)]
+    for (i, j), v in cells.items():
+        t[i * n + j] = t[j * n + i] = v
+    return t
+
+
+def test_prefix_test_stops_at_an_unfilled_cell():
+    # rows 1..2 are (1, 1, 1, 1) and (1, 3, 3, 2). Under some completion
+    # only sigma = (0, 1, 3, 2, 4) beats them: it keeps row 1, and its
+    # row 2 reads the unfilled 3*3 at cell (2, 2) before it gives 2 < 3
+    # at cell (2, 3)
+    rows = {(1, 1): 1, (1, 2): 1, (1, 3): 1, (1, 4): 1,
+            (2, 2): 3, (2, 3): 3, (2, 4): 2}
+    cells = enumeration._rows(5, 2)
+    assert not enumeration._beaten(5, partial_table(5, rows), cells)
+    # 3*3 = 2 makes cell (2, 2) a tie, so sigma beats the filled table
+    assert enumeration._beaten(5, partial_table(5, {**rows, (3, 3): 2}), cells)
+
+
+def test_prefix_test_moves_labels_past_the_prefix():
+    # row 1 is (0, 1, 0): no relabeling of label 1 alone changes it, and
+    # sigma(1) in {2, 3} reads an unfilled square; swapping labels 2 and 3
+    # gives (0, 0, 1)
+    t = partial_table(4, {(1, 1): 0, (1, 2): 1, (1, 3): 0})
+    assert enumeration._beaten(4, t, enumeration._rows(4, 1))
 
 
 # -- audit ----------------------------------------------------------------------
@@ -350,7 +401,7 @@ def test_search_limit_caps_matches_not_candidates():
 
 def test_search_chi_omega_gap_is_empty_at_small_orders():
     # no chi > omega case exists below the order-7 wheel fixture
-    for n in (4, 5):
+    for n in (4, 5, 6):
         assert not list(
             search(EnumerationOptions(order=n, up_to_iso=True), "chi-omega-gap")
         )

@@ -2,7 +2,7 @@
 
 Each digest is the sha256 of the bytes a refactor of the graph, semigroup
 or theorem layers must leave unchanged: the up-to-isomorphism audit
-report of orders 2-5, the stdout of `zdg check` and `zdg invariants`
+report of orders 2-6, the stdout of `zdg check` and `zdg invariants`
 on builtin examples, in both --format report and the default text
 format (powerset:5 checked at cutset cap 3 to stay fast), and the
 --format report stdout of `zdg graph` and `zdg example` on the same
@@ -23,6 +23,7 @@ AUDIT_DIGESTS = {
     3: "f073f9cbae0ea719255fc18386868e0a44eca641b2e3570adfed05cbc1d626e4",
     4: "c471efeee3516c3a4dec20991f5c054d4f4c38ef19310f0f5e10af92f3bedeeb",
     5: "e5f05ad4eef16e88e8e717f58cc75c813328e7e2751acb99b1431f03bb599a1d",
+    6: "3d88f5c429c795b01fab3c76010e913d5726e7317a970d7f9e243ed4bcc3e620",
 }
 
 COMMAND_DIGESTS = {
