@@ -383,6 +383,15 @@ def enumerate_semigroups(opts: EnumerationOptions, workers: int = 1):
                 yield Semigroup(CayleyTable(order=n, entries=entries))
 
 
+def _sharing_graphs(opts: EnumerationOptions, workers: int):
+    """enumerate_semigroups with one graph pool for the whole stream, so
+    the tables with one labelled Γ share one Graph and what it derives."""
+    graphs: dict = {}
+    for s in enumerate_semigroups(opts, workers=workers):
+        s._graphs = graphs
+        yield s
+
+
 # -- corpus audit --------------------------------------------------------------
 
 
@@ -418,7 +427,7 @@ def audit(opts: EnumerationOptions, workers: int = 1) -> AuditReport:
     tallies: dict[str, list[int]] = {}
     counterexamples = []
     total = 0
-    for s in enumerate_semigroups(opts, workers=workers):
+    for s in _sharing_graphs(opts, workers):
         total += 1
         for c in itertools.chain(*run_all(s).values(), check_gamma_facts(s)):
             row = tallies.setdefault(c.theorem_id, [0, 0, 0])
@@ -529,7 +538,7 @@ def search(opts: EnumerationOptions, predicate: str, workers: int = 1):
     # the limit caps matches, not the enumerated universe
     matches = (
         s
-        for s in enumerate_semigroups(replace(opts, limit=None), workers=workers)
+        for s in _sharing_graphs(replace(opts, limit=None), workers)
         if fn(s, gamma(s), arg)
     )
     if opts.limit is not None:

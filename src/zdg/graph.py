@@ -10,10 +10,20 @@ per vertex, and every traversal is the layered bitmask BFS of
 ``Graph._reach``: components, distances, girth and the separator
 searches. A graph is immutable, so what it derives is computed at most
 once and kept on it: components, the BFS layers from every vertex, the
-distances and eccentricities of ``metrics``, girth and the clique
-number, each in one place; 2-colourability reads those cached layers.
-A semigroup likewise builds Γ and Γ̄ once (see ``Semigroup._gamma``), so
-every checker of one semigroup shares one graph and one metrics object.
+distances and eccentricities of ``metrics``, girth, the clique and
+chromatic numbers, the complete multipartite partition, median and
+center, and per cap the bonds and the minimal vertex cutsets, and per
+vertex set the induced subgraph, each in one place; 2-colourability
+reads the cached layers. Every answer is immutable (tuples and
+frozensets all the way down, a frozen GraphMetrics, a Graph), since one
+graph may serve many semigroups.
+
+A semigroup builds Γ and Γ̄ once (see ``Semigroup._gamma``), so every
+checker of one semigroup shares one graph and one metrics object. It
+takes them from a pool keyed by ``graph_key``, the labelled graph
+(vertices, adjacency and labels). ``audit`` and ``search`` give every
+semigroup of one call the same pool, so all the tables with one
+labelled Γ share one graph and its answers for the length of the call.
 
 The separator searches avoid trying every edge subset up to the cap,
 which costs E^cap. ``bonds`` is the one edge-separator search: a DFS
@@ -57,6 +67,31 @@ def _positions(mask: int):
         yield low.bit_length() - 1
 
 
+def graph_key(vertices, edges, labels=None) -> tuple:
+    """(vertices, neighbour masks, labels) of Graph(vertices, edges, labels).
+
+    The key is the labelled graph itself: two graphs with equal keys give
+    every answer alike, so a pool keyed by it may hand one Graph, and all
+    it has derived, to every semigroup with that Γ.
+    """
+    vs = tuple(sorted(set(vertices)))
+    pos = {v: i for i, v in enumerate(vs)}
+    masks = [0] * len(vs)
+    for (u, v) in edges:
+        if u == v:
+            raise ValueError("loops are not allowed: %r" % ((u, v),))
+        if u not in pos or v not in pos:
+            raise UnknownVertexError("edge %r leaves the vertex set" % ((u, v),))
+        i, j = pos[u], pos[v]
+        masks[i] |= 1 << j
+        masks[j] |= 1 << i
+    if labels is None:
+        names = tuple(str(v) for v in vs)
+    else:
+        names = tuple(str(labels[v]) for v in vs)
+    return vs, tuple(masks), names
+
+
 class Graph:
     """Immutable undirected simple graph on semigroup element ids.
 
@@ -66,24 +101,12 @@ class Graph:
     """
 
     def __init__(self, vertices, edges, labels=None):
-        vs = tuple(sorted(set(vertices)))
-        pos = {v: i for i, v in enumerate(vs)}
-        masks = [0] * len(vs)
-        for (u, v) in edges:
-            if u == v:
-                raise ValueError("loops are not allowed: %r" % ((u, v),))
-            if u not in pos or v not in pos:
-                raise UnknownVertexError("edge %r leaves the vertex set" % ((u, v),))
-            i, j = pos[u], pos[v]
-            masks[i] |= 1 << j
-            masks[j] |= 1 << i
-        self.vertices = vs
-        self._pos = pos
-        if labels is None:
-            self.labels = tuple(str(v) for v in vs)
-        else:
-            self.labels = tuple(str(labels[v]) for v in vs)
-        self._mask = tuple(masks)
+        self.vertices, self._mask, self.labels = graph_key(vertices, edges, labels)
+        self._pos = {v: i for i, v in enumerate(self.vertices)}
+        # the answers that take an argument, one per argument asked for
+        self._bonds: dict[int, tuple] = {}
+        self._vertex_cutsets: dict[int, tuple] = {}
+        self._induced: dict[tuple[int, ...], Graph] = {}
 
     # -- structure ---------------------------------------------------------
 
@@ -122,12 +145,16 @@ class Graph:
         return self._mask[self.position(v)].bit_count()
 
     def induced(self, t) -> "Graph":
-        """Induced subgraph on the element subset t, mapping inherited."""
-        keep = sorted(set(t))
-        label_map = {v: self.labels[self.position(v)] for v in keep}
-        keep_set = set(keep)
-        es = [(u, v) for (u, v) in self.edges() if u in keep_set and v in keep_set]
-        return Graph(keep, es, label_map)
+        """Induced subgraph on the element subset t, mapping inherited;
+        built once per graph and subset."""
+        keep = tuple(sorted(set(t)))
+        sub = self._induced.get(keep)
+        if sub is None:
+            label_map = {v: self.labels[self.position(v)] for v in keep}
+            keep_set = set(keep)
+            es = [(u, v) for (u, v) in self.edges() if u in keep_set and v in keep_set]
+            sub = self._induced[keep] = Graph(keep, es, label_map)
+        return sub
 
     # -- the BFS core --------------------------------------------------------
 
@@ -285,6 +312,27 @@ class Graph:
         best = _max_clique_positions(self)
         return len(best), tuple(sorted(self.vertices[i] for i in best))
 
+    @cached_property
+    def _chromatic(self) -> tuple[int, tuple[int, ...]]:
+        return _least_colouring(self)
+
+    @cached_property
+    def _multipartite(self) -> tuple[frozenset[int], ...] | None:
+        return _multipartite_parts(self)
+
+    @cached_property
+    def _center(self) -> frozenset[int]:
+        m = self._metrics
+        return frozenset(self.vertices[i] for i in range(self.n) if m.ecc[i] == m.radius)
+
+    @cached_property
+    def _median(self) -> frozenset[int]:
+        m = self._metrics
+        best = min(m.distance_sum, default=0)
+        return frozenset(
+            self.vertices[i] for i in range(self.n) if m.distance_sum[i] == best
+        )
+
 
 # -- construction from a semigroup -----------------------------------------
 
@@ -340,22 +388,17 @@ def _require_connected(g: Graph) -> None:
 
 
 def center(g: Graph) -> frozenset[int]:
-    """Vertices of minimum eccentricity (connected graphs only)."""
+    """Vertices of minimum eccentricity (connected graphs only), computed
+    once per graph."""
     _require_connected(g)
-    m = metrics(g)
-    return frozenset(
-        g.vertices[i] for i in range(g.n) if m.ecc[i] == m.radius
-    )
+    return g._center
 
 
 def median(g: Graph) -> frozenset[int]:
-    """Vertices minimizing the total distance d(v) (connected graphs only)."""
+    """Vertices minimizing the total distance d(v) (connected graphs
+    only), computed once per graph."""
     _require_connected(g)
-    m = metrics(g)
-    best = min(m.distance_sum, default=0)
-    return frozenset(
-        g.vertices[i] for i in range(g.n) if m.distance_sum[i] == best
-    )
+    return g._median
 
 
 # -- cut structure ------------------------------------------------------------
@@ -374,9 +417,21 @@ def minimal_vertex_cutsets(g: Graph, size_cap: int = DEFAULT_CUTSET_CAP) -> tupl
     component C of G-T is full when its neighbourhood N(C) is all of T.
     A T with a component C that misses some t in T is no minimal cutset,
     since T-t still cuts C off; a T whose components are all full is
-    one, since any t put back joins them all.
+    one, since any t put back joins them all. Cutsets come ordered by
+    size, then sorted elements. A complete graph, and so any graph of
+    fewer than 3 vertices, has no vertex cutsets at all. Computed once
+    per graph and cap.
+    """
+    found = g._vertex_cutsets.get(size_cap)
+    if found is None:
+        found = g._vertex_cutsets[size_cap] = _vertex_cutsets(g, size_cap)
+    return found
 
-    Two searches find them; each BFS counts as one step. The subset
+
+def _vertex_cutsets(g: Graph, size_cap: int) -> tuple[frozenset[int], ...]:
+    """The search behind minimal_vertex_cutsets.
+
+    Two searches find the cutsets; each BFS counts as one step. The subset
     search takes at most one step per set of at most cap vertices. The
     closure over minimal separators takes steps in proportion to their
     number, whatever the cap: Γ(powerset:5) has 40, but a graph with a
@@ -384,9 +439,7 @@ def minimal_vertex_cutsets(g: Graph, size_cap: int = DEFAULT_CUTSET_CAP) -> tupl
     two hubs has more than 3^9. So the closure runs first with an eighth
     of the subset search's bound, and if it spends that, the subset
     search answers: a graph costs at most about 9/8 of what the subset
-    search alone would. Cutsets come ordered by size, then sorted
-    elements. A complete graph, and so any graph of fewer than 3
-    vertices, has no vertex cutsets at all.
+    search alone would.
     """
     _require_connected(g)
     n = g.n
@@ -477,7 +530,16 @@ def bonds(g: Graph, size_cap: int = DEFAULT_CUTSET_CAP):
     two components. cut is the sorted tuple of sorted element pairs,
     sides the two element sets ordered by least element; pairs come
     ordered by cut size, then cut. A graph of fewer than 2 vertices has
-    no bonds.
+    no bonds. Computed once per graph and cap.
+    """
+    found = g._bonds.get(size_cap)
+    if found is None:
+        found = g._bonds[size_cap] = _bond_search(g, size_cap)
+    return found
+
+
+def _bond_search(g: Graph, size_cap: int):
+    """The search behind bonds.
 
     Fix a BFS spanning tree rooted at position 0. A 2-colouring with the
     root on the near side is determined by which tree edges it cuts, so a
@@ -639,7 +701,13 @@ def chromatic_number(g: Graph) -> tuple[int, tuple[int, ...]]:
     """Exact chromatic number with a canonical witness colouring: the
     least k from the clique number up with a k-colouring, searched in
     descending degree order. The witness gives each position its colour,
-    classes numbered in the order of their least positions."""
+    classes numbered in the order of their least positions. Computed once
+    per graph."""
+    return g._chromatic
+
+
+def _least_colouring(g: Graph) -> tuple[int, tuple[int, ...]]:
+    """The search behind chromatic_number."""
     order = sorted(range(g.n), key=lambda v: (-g._mask[v].bit_count(), v))
     k = clique_number(g)[0]
     while (classes := _k_coloring(g, k, order)) is None:
@@ -661,7 +729,13 @@ def complete_multipartite_partition(g: Graph) -> tuple[frozenset[int], ...] | No
     equivalence relation; its classes, each vertex with its
     non-neighbours, are then the parts. Parts come back sorted by size,
     then least vertex; the graph with no vertices has no parts, ().
+    Computed once per graph.
     """
+    return g._multipartite
+
+
+def _multipartite_parts(g: Graph) -> tuple[frozenset[int], ...] | None:
+    """The test behind complete_multipartite_partition."""
     full = (1 << g.n) - 1
     closed = [full & ~m for m in g._mask]
     if any(closed[j] != part for part in closed for j in _positions(part)):

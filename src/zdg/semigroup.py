@@ -18,7 +18,7 @@ from .errors import (
     OrderTooLargeError,
     ValidationError,
 )
-from .graph import Graph
+from .graph import Graph, graph_key
 
 POWERSET_GROUND_CAP = 5
 
@@ -164,7 +164,9 @@ class Semigroup:
     Construct through validate() unless the table is known to be valid.
     Instances are immutable and safe to share; derived data (Γ, Γ̄, the
     annihilator classes and the associated primes) is computed once, on
-    first use, and kept on the instance.
+    first use, and kept on the instance. Γ and Γ̄ come from a pool of
+    graphs keyed by the labelled graph, the instance's own unless a
+    corpus run shares one between its semigroups.
 
     The public methods check their arguments. Private twins such as
     _is_ideal skip that for sets of elements the package built itself,
@@ -175,6 +177,9 @@ class Semigroup:
         self.table = table
         self.n = table.order
         self._rows = table.entries
+        # the pool Γ and Γ̄ are taken from, keyed by graph_key; audit and
+        # search give every semigroup of one call the same pool
+        self._graphs: dict[tuple, Graph] = {}
 
     # -- basics ---------------------------------------------------------
 
@@ -216,7 +221,11 @@ class Semigroup:
         edges = [
             (x, y) for a, x in enumerate(verts) for y in verts[a + 1:] if adjacent(x, y)
         ]
-        return Graph(verts, edges, self.labels)
+        key = graph_key(verts, edges, self.labels)
+        g = self._graphs.get(key)
+        if g is None:
+            g = self._graphs[key] = Graph(verts, edges, self.labels)
+        return g
 
     @cached_property
     def _gamma(self) -> Graph:

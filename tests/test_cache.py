@@ -7,15 +7,24 @@ import pytest
 import zdg.semigroup
 from zdg import (
     CayleyTable,
+    EnumerationOptions,
+    audit,
+    bonds,
     builtin_example,
+    center,
+    chromatic_number,
     clique_number,
+    complete_multipartite_partition,
     gamma,
     gamma_bar,
+    median,
     metrics,
+    minimal_vertex_cutsets,
     report,
     run_all,
     validate,
 )
+from zdg.graph import graph_key
 
 
 def test_gamma_and_its_invariants_are_computed_once():
@@ -29,7 +38,7 @@ def test_gamma_and_its_invariants_are_computed_once():
     assert s.maximal_annihilators() is s.maximal_annihilators()
 
 
-def test_run_all_builds_gamma_once(monkeypatch):
+def _count_graphs(monkeypatch) -> list:
     built = []
     real = zdg.semigroup.Graph
 
@@ -38,6 +47,11 @@ def test_run_all_builds_gamma_once(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(zdg.semigroup, "Graph", counting_graph)
+    return built
+
+
+def test_run_all_builds_gamma_once(monkeypatch):
+    built = _count_graphs(monkeypatch)
     # the path a-b-c-d: nilpotents, cut vertices, cutsets and bridges
     # send every checker to the graph
     s = builtin_example("ex3.4")
@@ -75,3 +89,50 @@ def test_equal_tables_with_other_names_keep_their_own_labels():
     assert gamma(b).labels == ("p", "q", "r")
     assert gamma_bar(a).labels == ("x", "y", "z")
     assert gamma_bar(b).labels == ("p", "q", "r")
+
+
+def test_audit_builds_one_graph_per_labelled_gamma(monkeypatch):
+    built = _count_graphs(monkeypatch)
+    rep = audit(EnumerationOptions(4))
+    assert rep.total == 194
+    assert len(built) == 11
+    assert len({graph_key(*args) for args in built}) == 11
+
+
+def test_a_second_audit_starts_its_own_pool(monkeypatch):
+    built = _count_graphs(monkeypatch)
+    audit(EnumerationOptions(4))
+    audit(EnumerationOptions(4))
+    assert len(built) == 22
+
+
+def test_graph_answers_are_computed_once_per_argument():
+    g = gamma(builtin_example("ex4.5"))
+    for answer in (chromatic_number, complete_multipartite_partition, median, center):
+        assert answer(g) is answer(g)
+    for answer in (bonds, minimal_vertex_cutsets):
+        assert answer(g, 4) is answer(g, 4)
+        assert answer(g, 1) is answer(g, 1)
+        assert answer(g, 1) != answer(g, 4)
+    sub = g.induced([1, 2, 3])
+    assert g.induced([3, 2, 1]) is sub
+    assert g.induced([1, 2]) is not sub
+
+
+def _frozen(value) -> bool:
+    if isinstance(value, (tuple, frozenset)):
+        return all(_frozen(v) for v in value)
+    return value is None or isinstance(value, (int, float, str))
+
+
+@pytest.mark.parametrize("name", ["ex4.5", "ortho:zg3+zg3", "ex3.4"])
+def test_shared_graph_answers_are_frozen_all_the_way_down(name):
+    # a graph and its answers are shared by every semigroup with that Γ,
+    # so no answer may be a container one caller could change
+    g = gamma(builtin_example(name))
+    answers = [
+        chromatic_number(g), complete_multipartite_partition(g), median(g),
+        center(g), bonds(g, 1), bonds(g, 4), minimal_vertex_cutsets(g, 1),
+        minimal_vertex_cutsets(g, 4),
+    ]
+    assert all(_frozen(a) for a in answers)

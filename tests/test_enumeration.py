@@ -10,19 +10,25 @@ from dataclasses import replace
 import pytest
 
 from zdg import (
+    AuditReport,
     CayleyTable,
+    ClauseTally,
     EnumerationOptions,
     MalformedTableError,
     OrderTooLargeError,
     UnknownPredicateError,
     audit,
+    available_predicates,
     builtin_example,
     canonical_form,
+    check_gamma_facts,
     complete_multipartite_partition,
     enumerate_semigroups,
     gamma,
     girth,
     null_semigroup,
+    report,
+    run_all,
     search,
     validate,
 )
@@ -344,7 +350,87 @@ def test_audit_order_two_is_mostly_vacuous():
     assert rep.tallies["thm-2.2-median"].applicable == 1
 
 
+def _audit_without_sharing(opts) -> AuditReport:
+    """audit's report from a fresh semigroup per table, so that no graph
+    or answer is shared between tables."""
+    tallies = {}
+    counterexamples = []
+    total = 0
+    for table in tables(opts):
+        s = validate(table)
+        total += 1
+        for c in itertools.chain(*run_all(s).values(), check_gamma_facts(s)):
+            row = tallies.setdefault(c.theorem_id, [0, 0, 0])
+            if c.applicable:
+                row[0] += 1
+                row[1 if c.holds else 2] += 1
+                if not c.holds:
+                    counterexamples.append((s.table, c))
+    return AuditReport(
+        order=opts.order,
+        up_to_iso=opts.up_to_iso,
+        total=total,
+        tallies={k: ClauseTally(*v) for k, v in sorted(tallies.items())},
+        counterexamples=tuple(counterexamples),
+    )
+
+
+@pytest.mark.parametrize(
+    "opts",
+    [EnumerationOptions(n) for n in (2, 3, 4)] + [EnumerationOptions(5, up_to_iso=True)],
+    ids=["raw2", "raw3", "raw4", "iso5"],
+)
+def test_audit_sharing_graphs_equals_audit_of_fresh_semigroups(opts):
+    assert audit(opts) == _audit_without_sharing(opts)
+
+
+def test_parallel_audit_renders_the_serial_bytes():
+    opts = EnumerationOptions(5)
+
+    def rendered(rep):
+        return report.render(report.audit_block(rep))
+
+    assert rendered(audit(opts, workers=2)) == rendered(audit(opts))
+
+
 # -- search -------------------------------------------------------------------
+
+
+# one valid argument for each predicate that takes one
+PREDICATE_ARGS = {"complete-rpartite": "2", "girth": "3"}
+
+
+def _predicate_specs() -> list[str]:
+    # every predicate bare, except girth, which needs its argument, and
+    # every argument-taking one with its test argument
+    bare = [name for name in available_predicates() if name != "girth"]
+    return bare + ["%s:%s" % item for item in sorted(PREDICATE_ARGS.items())]
+
+
+def test_every_argument_taking_predicate_has_a_test_argument():
+    takes = {name for name, (_, least) in enumeration._PREDICATES.items() if least is not None}
+    assert takes == set(PREDICATE_ARGS)
+
+
+@pytest.mark.parametrize("spec", _predicate_specs())
+def test_search_sharing_graphs_equals_a_filter_over_fresh_semigroups(spec):
+    opts = EnumerationOptions(4)
+    fn, arg = enumeration._parse_predicate(spec)
+
+    def holds(table):
+        s = validate(table)
+        return fn(s, gamma(s), arg)
+
+    fresh = [table for table in tables(opts) if holds(table)]
+    assert fresh or spec == "chi-omega-gap"  # no χ > ω gap below order 7
+    assert [s.table for s in search(opts, spec)] == fresh
+
+
+def test_parallel_search_yields_the_serial_tables_in_order():
+    opts = EnumerationOptions(5)
+    serial = [s.table for s in search(opts, "has-bridge")]
+    assert serial
+    assert [s.table for s in search(opts, "has-bridge", workers=2)] == serial
 
 
 def test_search_girth_4_finds_the_two_group_union():

@@ -2,7 +2,7 @@
 
 Each digest is the sha256 of the bytes a refactor of the graph, semigroup
 or theorem layers must leave unchanged: the up-to-isomorphism audit
-report of orders 2-6, the stdout of `zdg check` and `zdg invariants`
+report of orders 2-6 and the raw audit report of orders 2-5, the stdout of `zdg check` and `zdg invariants`
 on builtin examples, in both --format report and the default text
 format (powerset:5 checked at cutset cap 3 to stay fast), and the
 --format report stdout of `zdg graph` and `zdg example` on the same
@@ -24,6 +24,15 @@ AUDIT_DIGESTS = {
     4: "c471efeee3516c3a4dec20991f5c054d4f4c38ef19310f0f5e10af92f3bedeeb",
     5: "e5f05ad4eef16e88e8e717f58cc75c813328e7e2751acb99b1431f03bb599a1d",
     6: "3d88f5c429c795b01fab3c76010e913d5726e7317a970d7f9e243ed4bcc3e620",
+}
+
+# raw audits, where one labelled Γ serves many tables; order 5 is the
+# benchmark's audit-raw5 report
+RAW_AUDIT_DIGESTS = {
+    2: "b5994b85c340d75901358e5c2565edafebe624a1fa52657a4bf9ef0b9d159fba",
+    3: "b88a3f19566f41d93b89c4ed003f70c5d1ae5f1b019eb6a40604d6fdeb7800d2",
+    4: "1480c74c1adcf7c056961d9aa76d136ac01b1962e3e09ca3975bdf86d3df367d",
+    5: "41abe79c7af93ae3f879c8660c9da07b275b05debce8ee592bf578818b8bc335",
 }
 
 COMMAND_DIGESTS = {
@@ -242,6 +251,12 @@ def _sha(text: str) -> str:
 def test_audit_report_bytes_are_pinned(order):
     rep = audit(EnumerationOptions(order, up_to_iso=True))
     assert _sha(report.render(report.audit_block(rep))) == AUDIT_DIGESTS[order]
+
+
+@pytest.mark.parametrize("order", sorted(RAW_AUDIT_DIGESTS))
+def test_raw_audit_report_bytes_are_pinned(order):
+    rep = audit(EnumerationOptions(order))
+    assert _sha(report.render(report.audit_block(rep))) == RAW_AUDIT_DIGESTS[order]
 
 
 @pytest.mark.parametrize("command", sorted(COMMAND_DIGESTS))

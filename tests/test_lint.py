@@ -65,6 +65,46 @@ def test_only_graph_module_reads_graph_internals():
     assert found == []
 
 
+EMPTY_CONTAINERS = {"dict", "list", "set"}
+MEMO_DECORATORS = {"cache", "lru_cache"}
+# the one process-wide memo: the argument parser holds no per-call state
+MEMO_ALLOWED = {("cli.py", "_build_parser")}
+
+
+def _is_empty_container(node) -> bool:
+    if isinstance(node, (ast.Dict, ast.List)):
+        return not (node.keys if isinstance(node, ast.Dict) else node.elts)
+    return (
+        isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        and node.func.id in EMPTY_CONTAINERS and not node.args and not node.keywords
+    )
+
+
+def test_package_keeps_no_process_wide_memo():
+    # what the package derives lives on the object it derives it from,
+    # and a pool shared between semigroups lives for one call; an empty
+    # container bound at module or class level, or a cache decorator,
+    # would outlive the call and grow with every input
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        scopes = [tree.body] + [n.body for n in tree.body if isinstance(n, ast.ClassDef)]
+        for body in scopes:
+            for node in body:
+                if isinstance(node, (ast.Assign, ast.AnnAssign)) and node.value is not None:
+                    if _is_empty_container(node.value):
+                        found.append("%s:%d empty container" % (path.name, node.lineno))
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for dec in node.decorator_list:
+                target = dec.func if isinstance(dec, ast.Call) else dec
+                name = getattr(target, "attr", None) or getattr(target, "id", None)
+                if name in MEMO_DECORATORS and (path.name, node.name) not in MEMO_ALLOWED:
+                    found.append("%s:%d @%s on %s" % (path.name, node.lineno, name, node.name))
+    assert found == []
+
+
 def test_package_exports_match_its_imports():
     # __all__ is written by hand: a name deleted from a module but left
     # there, or imported into the package but never listed, is drift
