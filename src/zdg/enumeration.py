@@ -30,6 +30,15 @@ value n:
   makes it smaller; only the tables kept become CayleyTables.
 
 Raw enumeration runs no test.
+
+With require_reduced the generator never puts 0 on the diagonal: x² = 0
+makes x nilpotent, and a nonzero nilpotent has a nonzero power that
+squares to 0, so the tables left are exactly the reduced ones. search
+answers its reduced predicate with this pruning and builds no Γ for it.
+
+enumerate_semigroups holds the Γ pool: for the length of one call every
+semigroup it yields takes Γ and Γ̄ from one pool, so the tables with one
+labelled Γ share one Graph and every answer it derives.
 """
 
 from __future__ import annotations
@@ -362,32 +371,34 @@ def _branch_entries(opts: EnumerationOptions, pinned: int):
     return [tb.entries for tb in _generate(opts, pinned)]
 
 
+def _parallel_tables(opts: EnumerationOptions, workers: int):
+    """The tables for opts, each first-cell branch run in a worker process
+    and the branches merged in serial order."""
+    from concurrent.futures import ProcessPoolExecutor
+
+    n = opts.order
+    with ProcessPoolExecutor(max_workers=min(workers, n)) as pool:
+        for chunk in pool.map(_branch_entries, [opts] * n, range(n)):
+            for entries in chunk:
+                yield CayleyTable(order=n, entries=entries)
+
+
 def enumerate_semigroups(opts: EnumerationOptions, workers: int = 1):
     """Yield every valid semigroup for the options, in ascending table order.
 
     With workers > 1 the value of the first free cell splits the search
     into independent branches run in separate processes; the merge keeps
     the serial emission order. A limit forces the serial path, which can
-    stop early.
+    stop early. The call holds one Γ pool for all it yields (see the
+    module docstring), dropped with the stream.
     """
-    n = opts.order
     if workers <= 1 or opts.limit is not None:
-        for tb in itertools.islice(_generate(opts), opts.limit):
-            yield Semigroup(tb)
-        return
-    from concurrent.futures import ProcessPoolExecutor
-
-    with ProcessPoolExecutor(max_workers=min(workers, n)) as pool:
-        for chunk in pool.map(_branch_entries, [opts] * n, range(n)):
-            for entries in chunk:
-                yield Semigroup(CayleyTable(order=n, entries=entries))
-
-
-def _sharing_graphs(opts: EnumerationOptions, workers: int):
-    """enumerate_semigroups with one graph pool for the whole stream, so
-    the tables with one labelled Γ share one Graph and what it derives."""
+        tables = itertools.islice(_generate(opts), opts.limit)
+    else:
+        tables = _parallel_tables(opts, workers)
     graphs: dict = {}
-    for s in enumerate_semigroups(opts, workers=workers):
+    for tb in tables:
+        s = Semigroup(tb)
         s._graphs = graphs
         yield s
 
@@ -427,7 +438,7 @@ def audit(opts: EnumerationOptions, workers: int = 1) -> AuditReport:
     tallies: dict[str, list[int]] = {}
     counterexamples = []
     total = 0
-    for s in _sharing_graphs(opts, workers):
+    for s in enumerate_semigroups(opts, workers=workers):
         total += 1
         for c in itertools.chain(*run_all(s).values(), check_gamma_facts(s)):
             row = tallies.setdefault(c.theorem_id, [0, 0, 0])
@@ -451,40 +462,38 @@ def audit(opts: EnumerationOptions, workers: int = 1) -> AuditReport:
 # -- predicate search ----------------------------------------------------------
 
 
-def _pred_complete_rpartite(s, g, arg):
-    parts = complete_multipartite_partition(g)
+def _pred_complete_rpartite(s, arg):
+    parts = complete_multipartite_partition(gamma(s))
     return bool(parts) and (arg is None or len(parts) == arg)
 
 
-def _pred_has_bridge(s, g, arg):
-    return bool(bridges(g))
+def _pred_has_bridge(s, arg):
+    return bool(bridges(gamma(s)))
 
 
-def _pred_has_cut_vertex(s, g, arg):
-    return bool(cut_vertices(g))
+def _pred_has_cut_vertex(s, arg):
+    return bool(cut_vertices(gamma(s)))
 
 
-def _pred_girth(s, g, arg):
-    return girth(g) == arg
+def _pred_girth(s, arg):
+    return girth(gamma(s)) == arg
 
 
-def _pred_chi_omega_gap(s, g, arg):
+def _pred_chi_omega_gap(s, arg):
+    g = gamma(s)
     return chromatic_number(g)[0] > clique_number(g)[0]
 
 
-def _pred_reduced(s, g, arg):
-    return s.is_reduced()
-
-
 # Each predicate with the least integer argument some graph can meet, or
-# None when it takes no argument; girth also takes "inf".
+# None when it takes no argument; girth also takes "inf". reduced has no
+# filter: search runs it as the generator's own pruning of zero squares.
 _PREDICATES = {
     "complete-rpartite": (_pred_complete_rpartite, 1),
     "has-bridge": (_pred_has_bridge, None),
     "has-cut-vertex": (_pred_has_cut_vertex, None),
     "girth": (_pred_girth, 3),
     "chi-omega-gap": (_pred_chi_omega_gap, None),
-    "reduced": (_pred_reduced, None),
+    "reduced": (None, None),
 }
 
 
@@ -526,21 +535,20 @@ def _parse_predicate(spec: str):
 
 
 def search(opts: EnumerationOptions, predicate: str, workers: int = 1):
-    """Yield enumerated semigroups whose graph satisfies the predicate.
+    """Yield the enumerated semigroups that satisfy the predicate.
 
     The predicate is a name with an optional colon argument, for
     example "girth:4" or "complete-rpartite:3"; girth also accepts
-    "girth:inf" for acyclic graphs.
+    "girth:inf" for acyclic graphs. Every predicate but reduced tests Γ;
+    reduced is the generator's pruning of zero squares (require_reduced),
+    so it filters nothing and builds no Γ.
     """
     fn, arg = _parse_predicate(predicate)
     if arg is not None and arg != math.inf and arg > opts.order - 1:
         return  # Γ has at most order-1 vertices: no cycle or part count that large
+    reduced = opts.require_reduced or fn is None
     # the limit caps matches, not the enumerated universe
-    matches = (
-        s
-        for s in _sharing_graphs(replace(opts, limit=None), workers)
-        if fn(s, gamma(s), arg)
-    )
-    if opts.limit is not None:
-        matches = itertools.islice(matches, opts.limit)
-    yield from matches
+    matches = enumerate_semigroups(replace(opts, require_reduced=reduced, limit=None), workers)
+    if fn is not None:
+        matches = (s for s in matches if fn(s, arg))
+    yield from itertools.islice(matches, opts.limit)

@@ -19,11 +19,7 @@ frozensets all the way down, a frozen GraphMetrics, a Graph), since one
 graph may serve many semigroups.
 
 A semigroup builds Γ and Γ̄ once (see ``Semigroup._gamma``), so every
-checker of one semigroup shares one graph and one metrics object. It
-takes them from a pool keyed by ``graph_key``, the labelled graph
-(vertices, adjacency and labels). ``audit`` and ``search`` give every
-semigroup of one call the same pool, so all the tables with one
-labelled Γ share one graph and its answers for the length of the call.
+checker of one semigroup shares one graph and one metrics object.
 
 The separator searches avoid trying every edge subset up to the cap,
 which costs E^cap. ``bonds`` is the one edge-separator search: a DFS
@@ -67,31 +63,6 @@ def _positions(mask: int):
         yield low.bit_length() - 1
 
 
-def graph_key(vertices, edges, labels=None) -> tuple:
-    """(vertices, neighbour masks, labels) of Graph(vertices, edges, labels).
-
-    The key is the labelled graph itself: two graphs with equal keys give
-    every answer alike, so a pool keyed by it may hand one Graph, and all
-    it has derived, to every semigroup with that Γ.
-    """
-    vs = tuple(sorted(set(vertices)))
-    pos = {v: i for i, v in enumerate(vs)}
-    masks = [0] * len(vs)
-    for (u, v) in edges:
-        if u == v:
-            raise ValueError("loops are not allowed: %r" % ((u, v),))
-        if u not in pos or v not in pos:
-            raise UnknownVertexError("edge %r leaves the vertex set" % ((u, v),))
-        i, j = pos[u], pos[v]
-        masks[i] |= 1 << j
-        masks[j] |= 1 << i
-    if labels is None:
-        names = tuple(str(v) for v in vs)
-    else:
-        names = tuple(str(labels[v]) for v in vs)
-    return vs, tuple(masks), names
-
-
 class Graph:
     """Immutable undirected simple graph on semigroup element ids.
 
@@ -101,8 +72,19 @@ class Graph:
     """
 
     def __init__(self, vertices, edges, labels=None):
-        self.vertices, self._mask, self.labels = graph_key(vertices, edges, labels)
-        self._pos = {v: i for i, v in enumerate(self.vertices)}
+        self.vertices = vs = tuple(sorted(set(vertices)))
+        self._pos = pos = {v: i for i, v in enumerate(vs)}
+        masks = [0] * len(vs)
+        for (u, v) in edges:
+            if u == v:
+                raise ValueError("loops are not allowed: %r" % ((u, v),))
+            if u not in pos or v not in pos:
+                raise UnknownVertexError("edge %r leaves the vertex set" % ((u, v),))
+            i, j = pos[u], pos[v]
+            masks[i] |= 1 << j
+            masks[j] |= 1 << i
+        self._mask = tuple(masks)
+        self.labels = tuple(str(v if labels is None else labels[v]) for v in vs)
         # the answers that take an argument, one per argument asked for
         self._bonds: dict[int, tuple] = {}
         self._vertex_cutsets: dict[int, tuple] = {}

@@ -2,7 +2,10 @@
 
 Elements are the integers 0..n-1 and index 0 is always the zero element.
 The multiplication table is the single source of truth; everything else
-(ideals, annihilators, decompositions) is a pure, immutable view on it.
+(ideals, annihilators, decompositions, Γ and Γ̄) is a pure, immutable
+view on it. A semigroup takes Γ and Γ̄ from a pool of graphs keyed by
+the labelled graph: its own, or the one enumerate_semigroups holds for
+every semigroup of one call.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from .errors import (
     OrderTooLargeError,
     ValidationError,
 )
-from .graph import Graph, graph_key
+from .graph import Graph
 
 POWERSET_GROUND_CAP = 5
 
@@ -164,9 +167,7 @@ class Semigroup:
     Construct through validate() unless the table is known to be valid.
     Instances are immutable and safe to share; derived data (Γ, Γ̄, the
     annihilator classes and the associated primes) is computed once, on
-    first use, and kept on the instance. Γ and Γ̄ come from a pool of
-    graphs keyed by the labelled graph, the instance's own unless a
-    corpus run shares one between its semigroups.
+    first use, and kept on the instance.
 
     The public methods check their arguments. Private twins such as
     _is_ideal skip that for sets of elements the package built itself,
@@ -177,8 +178,8 @@ class Semigroup:
         self.table = table
         self.n = table.order
         self._rows = table.entries
-        # the pool Γ and Γ̄ are taken from, keyed by graph_key; audit and
-        # search give every semigroup of one call the same pool
+        # the pool Γ and Γ̄ are taken from; enumerate_semigroups replaces
+        # it with one pool for the whole call
         self._graphs: dict[tuple, Graph] = {}
 
     # -- basics ---------------------------------------------------------
@@ -218,10 +219,11 @@ class Semigroup:
 
     def _graph_on_zero_divisors(self, adjacent) -> Graph:
         verts = self._zero_divisor_tuple
-        edges = [
+        edges = tuple(
             (x, y) for a, x in enumerate(verts) for y in verts[a + 1:] if adjacent(x, y)
-        ]
-        key = graph_key(verts, edges, self.labels)
+        )
+        # the labelled graph itself: equal keys give every answer alike
+        key = (verts, edges, self.labels)
         g = self._graphs.get(key)
         if g is None:
             g = self._graphs[key] = Graph(verts, edges, self.labels)

@@ -15,6 +15,7 @@ from zdg import (
     chromatic_number,
     clique_number,
     complete_multipartite_partition,
+    enumerate_semigroups,
     gamma,
     gamma_bar,
     median,
@@ -22,9 +23,9 @@ from zdg import (
     minimal_vertex_cutsets,
     report,
     run_all,
+    search,
     validate,
 )
-from zdg.graph import graph_key
 
 
 def test_gamma_and_its_invariants_are_computed_once():
@@ -95,8 +96,8 @@ def test_audit_builds_one_graph_per_labelled_gamma(monkeypatch):
     built = _count_graphs(monkeypatch)
     rep = audit(EnumerationOptions(4))
     assert rep.total == 194
-    assert len(built) == 11
-    assert len({graph_key(*args) for args in built}) == 11
+    # the arguments are the labelled graph: eleven distinct ones
+    assert len(built) == len(set(built)) == 11
 
 
 def test_a_second_audit_starts_its_own_pool(monkeypatch):
@@ -104,6 +105,37 @@ def test_a_second_audit_starts_its_own_pool(monkeypatch):
     audit(EnumerationOptions(4))
     audit(EnumerationOptions(4))
     assert len(built) == 22
+
+
+def test_one_enumeration_hands_equal_labelled_gammas_one_graph():
+    by_key = {}
+    for s in enumerate_semigroups(EnumerationOptions(4)):
+        g = gamma(s)
+        by_key.setdefault((g.vertices, g.edges(), g.labels), []).append(g)
+    for graphs in by_key.values():
+        assert all(g is graphs[0] for g in graphs)
+    assert max(len(graphs) for graphs in by_key.values()) > 1
+
+
+def test_two_enumerations_share_no_graph():
+    opts = EnumerationOptions(4)
+    first = {id(gamma(s)): gamma(s) for s in enumerate_semigroups(opts)}
+    second = {id(gamma(s)): gamma(s) for s in enumerate_semigroups(opts)}
+    assert len(first) == len(second)
+    assert first.keys().isdisjoint(second)
+
+
+def test_a_search_builds_gamma_only_for_a_predicate_that_reads_it(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("reduced reads no graph")
+
+    monkeypatch.setattr(zdg.semigroup, "Graph", refuse)
+    assert sum(1 for _ in search(EnumerationOptions(5), "reduced")) == 1709
+    monkeypatch.undo()
+    built = _count_graphs(monkeypatch)
+    assert list(search(EnumerationOptions(4), "has-bridge"))
+    # as many graphs as the audit of the same tables builds
+    assert len(built) == len(set(built)) == 11
 
 
 def test_graph_answers_are_computed_once_per_argument():

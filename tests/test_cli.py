@@ -440,6 +440,14 @@ def test_search_cli_finds_matches(capsys):
     assert out.strip()
 
 
+@pytest.mark.parametrize("iso", [[], ["--up-to-iso"]], ids=["raw", "iso"])
+def test_search_reduced_prints_the_bytes_of_enumerate_reduced(capsys, iso):
+    searched = run_cli(capsys, "search", "--order", "5", *iso, "--predicate", "reduced")
+    enumerated = run_cli(capsys, "enumerate", "--order", "5", *iso, "--reduced")
+    assert searched[1]
+    assert searched == enumerated
+
+
 def test_search_unknown_predicate_exits_1(capsys):
     code, _, err = run_cli(capsys, "search", "--order", "3",
                            "--predicate", "bogus")

@@ -419,7 +419,7 @@ def test_search_sharing_graphs_equals_a_filter_over_fresh_semigroups(spec):
 
     def holds(table):
         s = validate(table)
-        return fn(s, gamma(s), arg)
+        return s.is_reduced() if spec == "reduced" else fn(s, arg)
 
     fresh = [table for table in tables(opts) if holds(table)]
     assert fresh or spec == "chi-omega-gap"  # no χ > ω gap below order 7
@@ -468,6 +468,22 @@ def test_search_reduced_matches_is_reduced():
     out = list(search(EnumerationOptions(order=4), "reduced"))
     assert len(out) == 85
     assert all(s.is_reduced() for s in out)
+
+
+@pytest.mark.parametrize(
+    "opts",
+    [EnumerationOptions(n) for n in (2, 3, 4, 5)]
+    + [EnumerationOptions(n, up_to_iso=True) for n in (2, 3, 4, 5, 6)],
+    ids=["raw2", "raw3", "raw4", "raw5", "iso2", "iso3", "iso4", "iso5", "iso6"],
+)
+def test_search_reduced_equals_an_is_reduced_filter(opts):
+    # search prunes zero squares in the generator; the filter tests each
+    # enumerated table for nilpotents
+    filtered = [s.table for s in enumerate_semigroups(opts) if s.is_reduced()]
+    assert [s.table for s in search(opts, "reduced")] == filtered
+    if opts.order == 5:
+        assert [s.table for s in search(opts, "reduced", workers=2)] == filtered
+        assert [s.table for s in search(replace(opts, limit=10), "reduced")] == filtered[:10]
 
 
 def test_search_has_bridge_and_cut_vertex():

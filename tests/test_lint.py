@@ -45,7 +45,8 @@ def test_package_does_not_enumerate_subsets_or_permutations():
 
 
 GRAPH_INTERNALS = {
-    "_mask", "_reach", "_split", "_union_tables", "_bfs_layers",
+    "_mask", "_reach", "_split", "_union_tables", "_bfs_layers", "_pos",
+    "_around", "_components", "_bonds", "_vertex_cutsets", "_induced",
 }
 
 
@@ -61,6 +62,28 @@ def test_only_graph_module_reads_graph_internals():
             "%s:%d %s" % (path.name, node.lineno, node.attr)
             for node in ast.walk(tree)
             if isinstance(node, ast.Attribute) and node.attr in GRAPH_INTERNALS
+        ]
+    assert found == []
+
+
+def test_only_the_semigroup_and_enumerate_semigroups_touch_the_graph_pool():
+    # a semigroup's Γ pool is its own or, for one enumeration call, the
+    # one enumerate_semigroups holds; a second owner would be a second
+    # lifetime for the shared graphs
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "semigroup.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        if path.name == "enumeration.py":
+            tree.body = [
+                node for node in tree.body
+                if not (isinstance(node, ast.FunctionDef) and node.name == "enumerate_semigroups")
+            ]
+        found += [
+            "%s:%d" % (path.name, node.lineno)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == "_graphs"
         ]
     assert found == []
 
