@@ -547,8 +547,12 @@ def search(opts: EnumerationOptions, predicate: str, workers: int = 1):
     if arg is not None and arg != math.inf and arg > opts.order - 1:
         return  # Γ has at most order-1 vertices: no cycle or part count that large
     reduced = opts.require_reduced or fn is None
-    # the limit caps matches, not the enumerated universe
-    matches = enumerate_semigroups(replace(opts, require_reduced=reduced, limit=None), workers)
+    # the limit caps matches, not the enumerated universe; a limited
+    # search runs serially, as a limited stream does, to stop at the last
+    matches = enumerate_semigroups(
+        replace(opts, require_reduced=reduced, limit=None),
+        workers if opts.limit is None else 1,
+    )
     if fn is not None:
         matches = (s for s in matches if fn(s, arg))
     yield from itertools.islice(matches, opts.limit)

@@ -6,6 +6,10 @@ The multiplication table is the single source of truth; everything else
 view on it. A semigroup takes Γ and Γ̄ from a pool of graphs keyed by
 the labelled graph: its own, or the one enumerate_semigroups holds for
 every semigroup of one call.
+
+Each row also exists as one int, the row mask: bit v of mask x is set
+iff v = xs for some s, so mask x is the set Sx. The unchecked ideal and
+prime tests, Γ̄ and the checkers' orbit tests run on these masks.
 """
 
 from __future__ import annotations
@@ -170,8 +174,9 @@ class Semigroup:
     first use, and kept on the instance.
 
     The public methods check their arguments. Private twins such as
-    _is_ideal skip that for sets of elements the package built itself,
-    and internal loops read the rows of the table directly.
+    _is_ideal skip that for elements the package chose itself, given in
+    any iterable (a repeated element counts once), and internal loops
+    read the rows of the table or their masks directly.
     """
 
     def __init__(self, table: CayleyTable):
@@ -215,6 +220,12 @@ class Semigroup:
         self._check_element(y)
         return self._rows[x][y]
 
+    @cached_property
+    def _row_masks(self) -> tuple[int, ...]:
+        """Row x as a bitmask: bit v is set iff v = xs for some s, so
+        mask x is the set Sx."""
+        return tuple(map(_bits, self._rows))
+
     # -- the zero-divisor graphs -----------------------------------------
 
     def _graph_on_zero_divisors(self, adjacent) -> Graph:
@@ -237,11 +248,10 @@ class Semigroup:
 
     @cached_property
     def _gamma_bar(self) -> Graph:
-        """Γ̄(S): edge {x,y} iff (xs)y = 0 for every s; row x lists every xs."""
-        rows = self._rows
-        return self._graph_on_zero_divisors(
-            lambda x, y: all(rows[xs][y] == 0 for xs in rows[x])
-        )
+        """Γ̄(S): edge {x,y} iff (xs)y = 0 for every s. As (xs)y = (xy)s,
+        that is the row of xy being all 0, its mask being bit 0 alone."""
+        rows, rm = self._rows, self._row_masks
+        return self._graph_on_zero_divisors(lambda x, y: rm[rows[x][y]] == 1)
 
     # -- zero divisors and nilpotents -----------------------------------
 
@@ -301,8 +311,14 @@ class Semigroup:
         return self._is_ideal(self._members(t))
 
     def _is_ideal(self, members) -> bool:
-        # xS is row x of the table
-        return all(members.issuperset(self._rows[x]) for x in members)
+        # xS is row x of the table: the union of the members' rows must
+        # lie within the members
+        rm = self._row_masks
+        inside = reach = 0
+        for x in members:
+            inside |= 1 << x
+            reach |= rm[x]
+        return reach | inside == inside
 
     def is_prime_ideal(self, p) -> bool:
         """True iff p is an ideal and xSy in p forces x in p or y in p.
@@ -315,13 +331,15 @@ class Semigroup:
     def _is_prime_ideal(self, members) -> bool:
         if not self._is_ideal(members):
             return False
-        rows = self._rows
-        outside = [x for x in range(self.n) if x not in members]
+        inside = _bits(members)
+        rows, rm = self._rows, self._row_masks
+        outside = [x for x in range(self.n) if not inside >> x & 1]
         for i, x in enumerate(outside):
-            xr = rows[x]
+            row = rows[x]
             for y in outside[i:]:
-                # prime demands some s with xsy outside p
-                if all(rows[xs][y] in members for xs in xr):
+                # prime demands some s with xsy outside p; xsy = (xy)s,
+                # so xSy is the row of xy
+                if rm[row[y]] | inside == inside:
                     return False
         return True
 
@@ -416,6 +434,14 @@ class Semigroup:
         if frozenset.intersection(*primes) != {0}:
             return None
         return tuple(primes)
+
+
+def _bits(elements) -> int:
+    """The bitmask with bit v set for each v in elements."""
+    m = 0
+    for v in elements:
+        m |= 1 << v
+    return m
 
 
 # -- builders -------------------------------------------------------------

@@ -16,7 +16,7 @@ side of the bridge clause, and the all-parts-at-least-two clause.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .graph import (
     DEFAULT_CUTSET_CAP,
@@ -34,19 +34,19 @@ from .graph import (
 )
 
 
-@dataclass(frozen=True)
-class Verdict:
-    """Outcome of one clause of a structure check.
+class Verdict(NamedTuple):
+    """Outcome of one clause of a structure check, built only by _v.
 
     holds is forced to True whenever the clause is not applicable, so a
     vacuous verdict can never read as a failure; failed is the one flag
-    audits need.
+    audits need. witness has no default: a class-level {} would be one
+    dict shared by every verdict.
     """
 
     theorem_id: str
     applicable: bool
     holds: bool
-    witness: dict = field(default_factory=dict)
+    witness: dict
     notes: str = ""
 
     @property
@@ -56,17 +56,14 @@ class Verdict:
 
 def _v(theorem_id, applicable, holds, witness=None, notes=""):
     return Verdict(
-        theorem_id=theorem_id,
-        applicable=applicable,
-        holds=bool(holds) if applicable else True,
-        witness=witness or {},
-        notes=notes,
+        theorem_id, applicable, bool(holds) if applicable else True, witness or {}, notes,
     )
 
 
-def _orbit(s, x) -> set[int]:
-    """Sx = {rx : r in S}, the entries of row x (S is commutative)."""
-    return set(s._rows[x])
+def _listed(mask) -> list[int]:
+    """The bits of mask in ascending order; Sx as a sorted list when mask
+    is row x's mask."""
+    return [v for v in range(mask.bit_length()) if mask >> v & 1]
 
 
 # -- nilpotent subgraph -------------------------------------------------------
@@ -107,12 +104,12 @@ def check_median_center_ideals(s) -> tuple[Verdict, ...]:
     cen = sorted(center(g))
     return (
         _v(
-            "thm-2.2-median", True, s._is_ideal(set(med) | {0}),
+            "thm-2.2-median", True, s._is_ideal(med + [0]),
             {"median": med},
             "median vertices with 0 form an ideal",
         ),
         _v(
-            "thm-2.4-center", True, s._is_ideal(set(cen) | {0}),
+            "thm-2.4-center", True, s._is_ideal(cen + [0]),
             {"center": cen},
             "center vertices with 0 form an ideal",
         ),
@@ -131,6 +128,7 @@ def check_cut_structures(s, size_cap: int = DEFAULT_CUTSET_CAP) -> tuple[Verdict
     if size_cap < 1:
         raise ValueError("size_cap must be at least 1, got %r" % (size_cap,))
     g = gamma(s)
+    rm = s._row_masks
     clauses = []
     vcs = minimal_vertex_cutsets(g, size_cap)
 
@@ -141,9 +139,9 @@ def check_cut_structures(s, size_cap: int = DEFAULT_CUTSET_CAP) -> tuple[Verdict
         recs = []
         ok = True
         for x in cvs:
-            ideal_ok = s._is_ideal({0, x})
+            ideal_ok = s._is_ideal((0, x))
             adj_all = g.degree(x) == g.n - 1
-            in_sx = x in _orbit(s, x)
+            in_sx = rm[x] >> x & 1 == 1
             recs.append({
                 "vertex": x,
                 "pair_ideal": ideal_ok,
@@ -165,7 +163,7 @@ def check_cut_structures(s, size_cap: int = DEFAULT_CUTSET_CAP) -> tuple[Verdict
         recs = []
         ok = True
         for t in vcs:
-            ideal_ok = s._is_ideal(set(t) | {0})
+            ideal_ok = s._is_ideal((0, *t))
             recs.append({"cutset": sorted(t), "ideal": ideal_ok})
             ok = ok and ideal_ok
         clauses.append(_v(
@@ -184,24 +182,27 @@ def check_cut_structures(s, size_cap: int = DEFAULT_CUTSET_CAP) -> tuple[Verdict
         recs = []
         ok = True
         for cut, sides in ecs:
-            vt = sorted({v for e in cut for v in e})
-            vt_full = set(vt) | {0}
+            ends = 0
+            for x, y in cut:
+                ends |= 1 << x | 1 << y
+            vt = _listed(ends)
+            # the endpoints whose Sx leaves V(T) with 0; that set is an
+            # ideal exactly when there are none (S0 = {0})
+            outside_vt = ~(ends | 1)
+            escaping = [x for x in vt if rm[x] & outside_vt]
+            full_ideal = not escaping
             side_recs = []
             cut_ok = True
             for side in sides:
-                crossing = sorted(set(vt) & side)
+                crossing = [x for x in vt if x in side]
                 rec = {"side": sorted(side), "endpoints": crossing}
                 if len(side) >= 2:
-                    contained = {
-                        x: sorted(_orbit(s, x) - vt_full) for x in crossing
-                    }
-                    bad = {x: esc for x, esc in contained.items() if esc}
+                    bad = {x: _listed(rm[x] & outside_vt) for x in escaping if x in side}
                     rec["orbit_escapes"] = bad
-                    rec["literal_side_ideal"] = s._is_ideal(set(crossing) | {0})
+                    rec["literal_side_ideal"] = s._is_ideal(crossing + [0])
                     cut_ok = cut_ok and not bad
                 side_recs.append(rec)
             both_big = all(len(side) >= 2 for side in sides)
-            full_ideal = s._is_ideal(vt_full)
             if both_big:
                 cut_ok = cut_ok and full_ideal
             recs.append({
@@ -228,41 +229,41 @@ def check_cut_structures(s, size_cap: int = DEFAULT_CUTSET_CAP) -> tuple[Verdict
 def check_bridge(s) -> tuple[Verdict, ...]:
     """Bridge edges force tiny ideals around their endpoints."""
     g = gamma(s)
+    rm = s._row_masks
     two_recs = []
     leaf_recs = []
     two_ok = True
     leaf_ok = True
     minimal_members = None
-    for ((x, y),), sides in bonds(g, 1):
-        sizes = {v: len(next(c for c in sides if v in c)) for v in (x, y)}
-        if sizes[x] >= 2 and sizes[y] >= 2:
+    for ((x, y),), (a, b) in bonds(g, 1):
+        # a bridge's endpoints lie on opposite sides
+        nx, ny = (len(a), len(b)) if x in a else (len(b), len(a))
+        if nx >= 2 and ny >= 2:
             if minimal_members is None:
                 minimal_members = set(s.minimal_ideals())
-            sx, sy = _orbit(s, x), _orbit(s, y)
-            ok = sx == {0, x} and sy == {0, y}
+            ok = rm[x] == 1 | 1 << x and rm[y] == 1 | 1 << y
             two_recs.append({
                 "bridge": [x, y],
-                "Sx": sorted(sx),
-                "Sy": sorted(sy),
+                "Sx": _listed(rm[x]),
+                "Sy": _listed(rm[y]),
                 "minimal_ideals": [
                     frozenset({0, v}) in minimal_members for v in (x, y)
                 ],
             })
             two_ok = two_ok and ok
         else:
-            literal = s._is_ideal({0, x, y})
-            for w, z in ((x, y), (y, x)):
-                if sizes[w] != 1:
+            literal = s._is_ideal((0, x, y))
+            for w, z, nw in ((x, y, nx), (y, x, ny)):
+                if nw != 1:
                     continue
-                sz = _orbit(s, z)
-                ok = sz <= {0, w, z}
-                if sizes[x] == 1 and sizes[y] == 1:  # graph is one edge
+                ok = rm[z] & ~(1 | 1 << w | 1 << z) == 0
+                if nx == ny == 1:  # graph is one edge
                     ok = ok and literal
                 leaf_recs.append({
                     "bridge": [x, y],
                     "leaf": w,
                     "neighbor": z,
-                    "S_neighbor": sorted(sz),
+                    "S_neighbor": _listed(rm[z]),
                     "literal_triple_ideal": literal,
                 })
                 leaf_ok = leaf_ok and ok
@@ -378,7 +379,7 @@ def check_rpartite(s) -> tuple[Verdict, ...]:
     part_sizes = sorted(len(p) for p in parts) if parts else None
     # thm-3.1 (reduced) and thm-3.6 (all parts >= 2) share one test per part
     tested = parts if parts is not None and (reduced or part_sizes[0] >= 2) else ()
-    part_ideal = {p: s._is_ideal(p | {0}) for p in tested}
+    part_ideal = {p: s._is_ideal((0, *p)) for p in tested}
     clauses = []
 
     if parts is None:
@@ -458,15 +459,15 @@ def check_rpartite(s) -> tuple[Verdict, ...]:
 
     if parts is not None and all(sz >= 2 for sz in part_sizes):
         nil = s._nilpotent_tuple[1:]
+        rm = s._row_masks
         nil_recs = {
-            x: {"square_zero": s._rows[x][x] == 0,
-                "orbit": sorted(_orbit(s, x))}
+            x: {"square_zero": s._rows[x][x] == 0, "orbit": _listed(rm[x])}
             for x in nil
         }
         per_part_nil = [sum(1 for x in nil if x in p) for p in parts]
         ok = (
             all(part_ideal.values())
-            and all(r["square_zero"] and set(r["orbit"]) <= {0, x}
+            and all(r["square_zero"] and rm[x] & ~(1 | 1 << x) == 0
                     for x, r in nil_recs.items())
             and all(c <= 1 for c in per_part_nil)
         )

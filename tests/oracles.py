@@ -482,6 +482,72 @@ def naive_bridge_two_sided_clause(rows):
     )
 
 
+def naive_cut_vertex_clause(rows):
+    """cor-2.3: every cut vertex x of Γ has {0, x} an ideal, and x is
+    adjacent to every other vertex or x lies in Sx."""
+    g = naive_gamma(rows)
+    cut = [x for (x,) in brute_minimal_vertex_cutsets(g, 1)]
+    if not cut:
+        return False, True
+    return True, all(
+        naive_is_ideal(rows, {0, x})
+        and (all(rows[x][v] == 0 for v in g.vertices if v != x) or x in rows[x])
+        for x in cut
+    )
+
+
+def naive_vertex_cutset_clause(rows, size_cap):
+    """thm-2.2, cutsets: every minimal vertex cutset of Γ of at most
+    size_cap vertices forms an ideal with 0."""
+    cutsets = brute_minimal_vertex_cutsets(naive_gamma(rows), size_cap)
+    if not cutsets:
+        return False, True
+    return True, all(naive_is_ideal(rows, t | {0}) for t in cutsets)
+
+
+def naive_edge_cutset_clause(rows, size_cap):
+    """cor-2.6, as weakened: for each minimal edge cutset T of Γ of at most
+    size_cap edges, an endpoint x on a side of two or more vertices has Sx
+    inside V(T) with 0, and with both sides that large V(T) with 0 is an
+    ideal."""
+    g = naive_gamma(rows)
+    cuts = brute_minimal_edge_cutsets(g, size_cap)
+    if not cuts:
+        return False, True
+    holds = True
+    for cut in cuts:
+        ends = {v for e in cut for v in e}
+        with_zero = ends | {0}
+        sides = [{g.vertices[i] for i in c} for c in naive_components(g, cut)]
+        for side in sides:
+            if len(side) >= 2:
+                holds = holds and all(set(rows[x]) <= with_zero for x in ends & side)
+        if all(len(side) >= 2 for side in sides):
+            holds = holds and naive_is_ideal(rows, with_zero)
+    return True, holds
+
+
+def _least_by(rows, score):
+    """Γ and the vertices at which score, over their row of distances,
+    is least."""
+    g = naive_gamma(rows)
+    scores = [score(d) for d in naive_distances(g)]
+    return g, {v for v, x in zip(g.vertices, scores) if x == min(scores)}
+
+
+def naive_median_clause(rows):
+    """thm-2.2, median: the vertices of least total distance form an ideal
+    with 0."""
+    g, med = _least_by(rows, sum)
+    return (True, naive_is_ideal(rows, med | {0})) if g.n else (False, True)
+
+
+def naive_center_clause(rows):
+    """thm-2.4: the vertices of least eccentricity form an ideal with 0."""
+    g, cen = _least_by(rows, max)
+    return (True, naive_is_ideal(rows, cen | {0})) if g.n else (False, True)
+
+
 # -- report text and table validation ----------------------------------------
 
 

@@ -433,6 +433,20 @@ def test_parallel_search_yields_the_serial_tables_in_order():
     assert [s.table for s in search(opts, "has-bridge", workers=2)] == serial
 
 
+def test_a_limited_search_runs_serially(monkeypatch):
+    # the first match can come at once; worker processes would run every
+    # first-cell branch to its end before the limit is reached
+    opts = EnumerationOptions(5, limit=1)
+    serial = [s.table for s in search(opts, "has-bridge")]
+    assert len(serial) == 1
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a limited search went to the workers")
+
+    monkeypatch.setattr(enumeration, "_parallel_tables", refuse)
+    assert [s.table for s in search(opts, "has-bridge", workers=2)] == serial
+
+
 def test_search_girth_4_finds_the_two_group_union():
     target = canonical_form(
         builtin_example("ortho:zg3+zg3").table

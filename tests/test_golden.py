@@ -4,9 +4,9 @@ Each digest is the sha256 of the bytes a refactor of the graph, semigroup
 or theorem layers must leave unchanged: the up-to-isomorphism audit
 report of orders 2-6 and the raw audit report of orders 2-5, the stdout of `zdg check` and `zdg invariants`
 on builtin examples, in both --format report and the default text
-format (powerset:5 checked at cutset cap 3 to stay fast), and the
+format (powerset:5 checked at cutset cap 3 to stay fast), the
 --format report stdout of `zdg graph` and `zdg example` on the same
-examples.
+examples, and every clause verdict with its witness over a corpus.
 """
 
 import contextlib
@@ -15,7 +15,7 @@ import io
 
 import pytest
 
-from zdg import EnumerationOptions, audit, report
+from zdg import EnumerationOptions, audit, check_gamma_facts, enumerate_semigroups, report, run_all
 from zdg.cli import main
 
 AUDIT_DIGESTS = {
@@ -33,6 +33,14 @@ RAW_AUDIT_DIGESTS = {
     3: "b88a3f19566f41d93b89c4ed003f70c5d1ae5f1b019eb6a40604d6fdeb7800d2",
     4: "1480c74c1adcf7c056961d9aa76d136ac01b1962e3e09ca3975bdf86d3df367d",
     5: "41abe79c7af93ae3f879c8660c9da07b275b05debce8ee592bf578818b8bc335",
+}
+
+# every clause of run_all and check_gamma_facts, witness included, on
+# each table of a corpus: the audit digests above hash only tallies and
+# counterexamples, so a witness that changed on a clean corpus shows here
+WITNESS_DIGESTS = {
+    (4, False): (194, "df05e480feac87a113bba57c7022b1f9f4af61830093f30d487ef5324cac83bd"),
+    (5, True): (226, "2cb25aaec7da319b8d86b454952afb7bc5d99fb4f768a95a01f1cc2fbaf50a35"),
 }
 
 COMMAND_DIGESTS = {
@@ -257,6 +265,18 @@ def test_audit_report_bytes_are_pinned(order):
 def test_raw_audit_report_bytes_are_pinned(order):
     rep = audit(EnumerationOptions(order))
     assert _sha(report.render(report.audit_block(rep))) == RAW_AUDIT_DIGESTS[order]
+
+
+@pytest.mark.parametrize("order, up_to_iso", sorted(WITNESS_DIGESTS))
+def test_clause_witness_bytes_are_pinned(order, up_to_iso):
+    h = hashlib.sha256()
+    count = 0
+    for s in enumerate_semigroups(EnumerationOptions(order, up_to_iso=up_to_iso)):
+        count += 1
+        clauses = [c for cs in run_all(s).values() for c in cs] + list(check_gamma_facts(s))
+        for c in clauses:
+            h.update(report.render(report.verdict_block(c)).encode("utf-8"))
+    assert (count, h.hexdigest()) == WITNESS_DIGESTS[order, up_to_iso]
 
 
 @pytest.mark.parametrize("command", sorted(COMMAND_DIGESTS))

@@ -88,6 +88,28 @@ def test_only_the_semigroup_and_enumerate_semigroups_touch_the_graph_pool():
     assert found == []
 
 
+def _reads_rows(node) -> bool:
+    return any(isinstance(n, ast.Attribute) and n.attr == "_rows" for n in ast.walk(node))
+
+
+def test_checkers_build_no_set_from_a_table_row():
+    # Sx is row x's bitmask, Semigroup._row_masks; a set built from the
+    # row would be a second representation of the same orbit
+    path = PACKAGE / "theorems.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) in ("set", "frozenset"):
+            built = any(_reads_rows(arg) for arg in node.args)
+        elif isinstance(node, ast.SetComp):
+            built = any(_reads_rows(gen.iter) for gen in node.generators)
+        else:
+            continue
+        if built:
+            found.append("theorems.py:%d" % node.lineno)
+    assert found == []
+
+
 EMPTY_CONTAINERS = {"dict", "list", "set"}
 MEMO_DECORATORS = {"cache", "lru_cache"}
 # the one process-wide memo: the argument parser holds no per-call state

@@ -1,5 +1,6 @@
 """Semigroup validation, ideals, annihilators and builders."""
 
+import itertools
 import random
 
 import pytest
@@ -283,6 +284,45 @@ def test_ideal_predicates_match_naive_definitions():
             assert s.is_ideal(t) == naive_is_ideal(rows, t)
             assert s.is_prime_ideal(t) == naive_is_prime_ideal(rows, t)
     assert count == 275
+
+
+def _shapes(t):
+    """t in each shape the checkers hand to the unchecked ideal tests: a
+    list and a tuple repeating a member (0 wherever t holds it, as in
+    the checkers), a set and a frozenset."""
+    first = min(t)
+    return [sorted(t) + [first], (first, *t), set(t), frozenset(t)]
+
+
+def test_unchecked_ideal_tests_match_naive_definitions_on_every_shape():
+    for s in iso_corpus():
+        rows = s.table.entries
+        for t in subsets_with_zero(s.n):
+            ideal, prime = naive_is_ideal(rows, t), naive_is_prime_ideal(rows, t)
+            for members in _shapes(t):
+                assert s._is_ideal(members) == ideal, (rows, members)
+                assert s._is_prime_ideal(members) == prime, (rows, members)
+
+
+def test_unchecked_ideal_tests_on_masks_wider_than_31_bits():
+    # powerset:5 has 32 elements, so the row of the full set has bit 31
+    s = powerset_semigroup(5)
+    rows = s.table.entries
+    assert s._row_masks[31] == (1 << 32) - 1
+    counts = [0, 0]
+    for k in range(1, 4):
+        for combo in itertools.combinations(range(32), k):
+            t = frozenset(combo)
+            ideal, prime = naive_is_ideal(rows, t), naive_is_prime_ideal(rows, t)
+            counts[0] += ideal
+            counts[1] += prime
+            for members in _shapes(t):
+                assert s._is_ideal(members) == ideal, members
+                assert s._is_prime_ideal(members) == prime, members
+    # an ideal is closed under subsets, so those of at most three elements
+    # are {0}, {0, a} and {0, a, b} for one-point sets a and b; the prime
+    # ideals, the sets missing one fixed point, have 16 elements
+    assert counts == [1 + 5 + 10, 0]
 
 
 def test_annihilators_and_minimal_ideals_match_naive_definitions():

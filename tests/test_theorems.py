@@ -1,5 +1,6 @@
 """Structure checks: verdict mechanics and expected outcomes on fixtures."""
 
+import functools
 import itertools
 
 import pytest
@@ -28,7 +29,16 @@ from zdg import (
     theorems,
     validate,
 )
-from oracles import naive_bridge_two_sided_clause, naive_clique5_clause
+from zdg.graph import DEFAULT_CUTSET_CAP
+from oracles import (
+    naive_bridge_two_sided_clause,
+    naive_center_clause,
+    naive_clique5_clause,
+    naive_cut_vertex_clause,
+    naive_edge_cutset_clause,
+    naive_median_clause,
+    naive_vertex_cutset_clause,
+)
 
 
 def flat(checks):
@@ -256,6 +266,48 @@ def test_rarely_applicable_clauses_match_their_row_oracles():
             applied[theorem_id] += c.applicable
     # each applies twice: the two unions, and ex3.4 with its order-5 class
     assert applied == dict.fromkeys(RARE_CLAUSES, 2)
+
+
+# the clauses whose conclusion is an ideal test on a vertex set with 0
+IDEAL_CLAUSES = {
+    "cor-2.3-cut-vertices": naive_cut_vertex_clause,
+    "thm-2.2-minimal-vertex-cutsets":
+        functools.partial(naive_vertex_cutset_clause, size_cap=DEFAULT_CUTSET_CAP),
+    "cor-2.6-minimal-edge-cutsets":
+        functools.partial(naive_edge_cutset_clause, size_cap=DEFAULT_CUTSET_CAP),
+    "thm-2.2-median": naive_median_clause,
+    "thm-2.4-center": naive_center_clause,
+}
+
+# how often each applies over ideal_clause_corpus(); every one holds
+IDEAL_CLAUSE_APPLIED = {
+    "cor-2.3-cut-vertices": 146,
+    "thm-2.2-minimal-vertex-cutsets": 192,
+    "cor-2.6-minimal-edge-cutsets": 286,
+    "thm-2.2-median": 322,
+    "thm-2.4-center": 322,
+}
+
+
+def ideal_clause_corpus():
+    """clause_oracle_corpus() and the builtins small enough for the
+    brute-force cutset oracles."""
+    yield from clause_oracle_corpus()
+    for name in ("ex3.5", "ex3.8", "ex4.3", "ex4.5", "zg:6", "null:8", "powerset:4",
+                 "ortho:zg3+zg3", "ortho:null3+null4", "ortho:powerset2+powerset2",
+                 "ortho:null4+powerset3", "ortho:null4+null4+zg3"):
+        yield builtin_example(name)
+
+
+def test_ideal_clauses_match_their_row_oracles():
+    applied = dict.fromkeys(IDEAL_CLAUSES, 0)
+    for s in ideal_clause_corpus():
+        checks = run_all(s)
+        for theorem_id, oracle in IDEAL_CLAUSES.items():
+            c = clause(checks, theorem_id)
+            assert (c.applicable, c.holds) == oracle(s.table.entries), (theorem_id, s.table)
+            applied[theorem_id] += c.applicable
+    assert applied == IDEAL_CLAUSE_APPLIED
 
 
 def test_clique5_clause_reads_its_conclusion_from_gamma(monkeypatch):
