@@ -418,8 +418,8 @@ class AuditReport:
     """Checker tallies over one enumerated corpus.
 
     counterexamples holds (table, clause verdict) pairs for every
-    applicable clause that failed; an empty tuple is the expected
-    outcome.
+    applicable clause that failed, each witness already built as a plain
+    dict; an empty tuple is the expected outcome.
     """
 
     order: int
@@ -449,6 +449,9 @@ def audit(opts: EnumerationOptions, workers: int = 1) -> AuditReport:
                 row[1] += 1
             else:
                 row[2] += 1
+                # build the witness now: the report keeps a dict, not a
+                # builder holding s and the call's Γ pool
+                c.witness
                 counterexamples.append((s.table, c))
     return AuditReport(
         order=opts.order,

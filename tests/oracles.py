@@ -548,6 +548,96 @@ def naive_center_clause(rows):
     return (True, naive_is_ideal(rows, cen | {0})) if g.n else (False, True)
 
 
+
+def naive_bridge_leaf_clause(rows):
+    """thm-2.5, leaf side as weakened: for an edge wz of Γ whose removal
+    leaves w alone, Sz lies within {0, w, z}; when Γ is that one edge,
+    {0, w, z} must also be an ideal."""
+    g = naive_gamma(rows)
+    leaves = []
+    for e in g.edges():
+        comps = naive_components(g, [e])
+        if len(comps) != 2:
+            continue
+        for w, z in (e, e[::-1]):
+            if {g.position(w)} in comps:
+                leaves.append((w, z))
+    if not leaves:
+        return False, True
+    return True, all(
+        set(rows[z]) <= {0, w, z} and (g.n > 2 or naive_is_ideal(rows, {0, w, z}))
+        for w, z in leaves
+    )
+
+
+def naive_maximal_annihilator_clause(rows):
+    """lem-2.8: every inclusion-maximal Ann(x), x nonzero, is a prime
+    ideal."""
+    maximal = naive_maximal_annihilators(rows)
+    if not maximal:
+        return False, True
+    return True, all(naive_is_prime_ideal(rows, ann) for _, ann in maximal)
+
+
+def naive_pairwise_products_clause(rows):
+    """prop-2.9a: with two or more associated primes, x and y whose
+    annihilators are distinct associated primes multiply to 0."""
+    primes = [ann for _, ann in naive_associated_primes(rows)]
+    if len(primes) < 2:
+        return False, True
+    realizing = [(x, ann) for x, ann in _annihilators(rows) if ann in primes]
+    return True, all(rows[x][y] == 0 for x, a in realizing for y, b in realizing if a != b)
+
+
+def _parts_and_primes(rows):
+    """The parts of a complete multipartite Γ (None for any other, or an
+    empty Γ), and whether each part with 0 is an ideal and each
+    complement in Z(S) a prime ideal."""
+    g = naive_gamma(rows)
+    parts = naive_multipartite_parts(g) or None
+    if parts is None:
+        return None, True
+    zstar = set(g.vertices)
+    return parts, all(
+        naive_is_ideal(rows, p | {0}) and naive_is_prime_ideal(rows, (zstar - p) | {0})
+        for p in parts
+    )
+
+
+def naive_parts_ideals_primes_clause(rows):
+    """thm-3.1: S reduced and Γ complete multipartite: each part with 0 is
+    an ideal, and each complement with 0 a prime ideal."""
+    parts, holds = _parts_and_primes(rows)
+    if parts is None or naive_nilpotents(rows) != {0}:
+        return False, True
+    return True, holds
+
+
+def naive_weakened_hypothesis_clause(rows):
+    """rem-3.2a: thm-3.1's conclusion where no nonzero element squares to 0
+    and Γ is complete multipartite."""
+    parts, holds = _parts_and_primes(rows)
+    if parts is None or any(rows[x][x] == 0 for x in range(1, len(rows))):
+        return False, True
+    return True, holds
+
+
+def naive_all_parts_large_clause(rows):
+    """thm-3.6 as weakened: Γ complete multipartite with every part of two
+    or more vertices: each part with 0 is an ideal, each nonzero
+    nilpotent x has x^2 = 0 and Sx within {0, x}, and no part holds two
+    of them."""
+    parts = naive_multipartite_parts(naive_gamma(rows))
+    if not parts or any(len(p) < 2 for p in parts):
+        return False, True
+    nil = naive_nilpotents(rows) - {0}
+    return True, (
+        all(naive_is_ideal(rows, p | {0}) for p in parts)
+        and all(rows[x][x] == 0 and set(rows[x]) <= {0, x} for x in nil)
+        and all(len(p & nil) <= 1 for p in parts)
+    )
+
+
 # -- report text and table validation ----------------------------------------
 
 

@@ -1,6 +1,7 @@
 """Derived data is computed once per object and shared, never mutated."""
 
 import dataclasses
+import pickle
 
 import pytest
 
@@ -8,6 +9,7 @@ import zdg.semigroup
 from zdg import (
     CayleyTable,
     EnumerationOptions,
+    Semigroup,
     audit,
     bonds,
     builtin_example,
@@ -24,8 +26,10 @@ from zdg import (
     report,
     run_all,
     search,
+    theorems,
     validate,
 )
+from zdg.cli import main
 
 
 def test_gamma_and_its_invariants_are_computed_once():
@@ -168,3 +172,72 @@ def test_shared_graph_answers_are_frozen_all_the_way_down(name):
         minimal_vertex_cutsets(g, 4),
     ]
     assert all(_frozen(a) for a in answers)
+
+
+def _count_witness_builds(monkeypatch) -> list:
+    """Wrap every witness builder the checkers hand to theorems._v; the
+    list gets the clause id each time one runs."""
+    built = []
+    real = theorems._v
+
+    def counting_v(theorem_id, applicable, holds, witness=dict, notes=""):
+        def build():
+            built.append(theorem_id)
+            return witness()
+
+        return real(theorem_id, applicable, holds, build, notes)
+
+    monkeypatch.setattr(theorems, "_v", counting_v)
+    return built
+
+
+def test_an_audit_decides_every_clause_without_building_a_witness(monkeypatch):
+    built = _count_witness_builds(monkeypatch)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a decision listed or sorted what only a witness reads")
+
+    monkeypatch.setattr(theorems, "_listed", refuse)
+    monkeypatch.setattr(theorems, "sorted", refuse, raising=False)
+    monkeypatch.setattr(Semigroup, "minimal_ideals", refuse)
+    rep = audit(EnumerationOptions(4))
+    assert (rep.total, rep.clean) == (194, True)
+    assert built == []
+
+
+def test_check_builds_the_witnesses_it_prints_and_no_other(monkeypatch, capsys):
+    built = _count_witness_builds(monkeypatch)
+    assert main(["check", "ex3.4", "--theorem", "chromatic", "--format", "report"]) == 0
+    assert '"witness"' in capsys.readouterr().out
+    assert built == [
+        "fact-chi-ge-omega", "thm-4.1-decomposition-exists", "thm-4.1-coloring-bound",
+        "cor-4.2-chi-omega-count", "thm-4.4-chi-omega-small",
+    ]
+
+
+def test_audit_counterexamples_keep_plain_witnesses(monkeypatch):
+    # a checker that fails every applicable clause it has, keeping the
+    # real witness builders, which hold the semigroup and its graph
+    real = theorems.check_median_center_ideals
+
+    def failing(s):
+        return tuple(
+            theorems._v(c.theorem_id, c.applicable, False, lambda c=c: c.witness, c.notes)
+            for c in real(s)
+        )
+
+    monkeypatch.setattr(theorems, "check_median_center_ideals", failing)
+    rep = audit(EnumerationOptions(3))
+    assert len(rep.counterexamples) == 2 * rep.tallies["thm-2.2-median"].failed > 0
+    # a builder left in the report could not be pickled
+    copy = pickle.loads(pickle.dumps(rep))
+    assert copy == rep
+    lazy = report.render(report.audit_block(copy))
+
+    build_now = theorems._v
+    monkeypatch.setattr(
+        theorems, "_v",
+        lambda tid, applicable, holds, witness=dict, notes="":
+            build_now(tid, applicable, holds, witness(), notes),
+    )
+    assert report.render(report.audit_block(audit(EnumerationOptions(3)))) == lazy

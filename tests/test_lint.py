@@ -110,6 +110,39 @@ def test_checkers_build_no_set_from_a_table_row():
     assert found == []
 
 
+# what only a witness needs: sorted lists, the listed bits of a mask, and
+# the minimal ideals
+WITNESS_ONLY_CALLS = {"sorted", "_listed", "minimal_ideals"}
+
+
+def _own_calls(node):
+    """The calls a function body makes itself, leaving out those inside
+    the functions and lambdas nested in it."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.Lambda)):
+            continue
+        if isinstance(child, ast.Call):
+            yield child
+        yield from _own_calls(child)
+
+
+def test_checkers_sort_and_list_only_inside_witness_builders():
+    # a check decides each clause from masks, counts and min, and hands
+    # the witness to _v as a nested function or lambda, which runs only
+    # when the witness is read; audit reads none for a clause that holds
+    path = PACKAGE / "theorems.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    found = []
+    for fn in tree.body:
+        if not (isinstance(fn, ast.FunctionDef) and fn.name.startswith("check_")):
+            continue
+        for call in _own_calls(fn):
+            name = getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+            if name in WITNESS_ONLY_CALLS:
+                found.append("theorems.py:%d %s" % (call.lineno, name))
+    assert found == []
+
+
 EMPTY_CONTAINERS = {"dict", "list", "set"}
 MEMO_DECORATORS = {"cache", "lru_cache"}
 # the one process-wide memo: the argument parser holds no per-call state

@@ -31,13 +31,19 @@ from zdg import (
 )
 from zdg.graph import DEFAULT_CUTSET_CAP
 from oracles import (
+    naive_all_parts_large_clause,
+    naive_bridge_leaf_clause,
     naive_bridge_two_sided_clause,
     naive_center_clause,
     naive_clique5_clause,
     naive_cut_vertex_clause,
     naive_edge_cutset_clause,
+    naive_maximal_annihilator_clause,
     naive_median_clause,
+    naive_pairwise_products_clause,
+    naive_parts_ideals_primes_clause,
     naive_vertex_cutset_clause,
+    naive_weakened_hypothesis_clause,
 )
 
 
@@ -308,6 +314,39 @@ def test_ideal_clauses_match_their_row_oracles():
             assert (c.applicable, c.holds) == oracle(s.table.entries), (theorem_id, s.table)
             applied[theorem_id] += c.applicable
     assert applied == IDEAL_CLAUSE_APPLIED
+
+
+# the clauses whose decision no longer walks the loop that builds its
+# witness, each against an oracle on the rows
+STRUCTURE_CLAUSES = {
+    "thm-2.5-bridge-leaf": naive_bridge_leaf_clause,
+    "lem-2.8-maximal-annihilators": naive_maximal_annihilator_clause,
+    "prop-2.9a-pairwise-products": naive_pairwise_products_clause,
+    "thm-3.1-parts-ideals-primes": naive_parts_ideals_primes_clause,
+    "rem-3.2a-weakened-hypothesis": naive_weakened_hypothesis_clause,
+    "thm-3.6-reduced": naive_all_parts_large_clause,
+}
+
+# how often each applies over ideal_clause_corpus(); every one holds
+STRUCTURE_CLAUSE_APPLIED = {
+    "thm-2.5-bridge-leaf": 193,
+    "lem-2.8-maximal-annihilators": 451,
+    "prop-2.9a-pairwise-products": 187,
+    "thm-3.1-parts-ideals-primes": 55,
+    "rem-3.2a-weakened-hypothesis": 55,
+    "thm-3.6-reduced": 11,
+}
+
+
+def test_structure_clauses_match_their_row_oracles():
+    applied = dict.fromkeys(STRUCTURE_CLAUSES, 0)
+    for s in ideal_clause_corpus():
+        checks = run_all(s)
+        for theorem_id, oracle in STRUCTURE_CLAUSES.items():
+            c = clause(checks, theorem_id)
+            assert (c.applicable, c.holds) == oracle(s.table.entries), (theorem_id, s.table)
+            applied[theorem_id] += c.applicable
+    assert applied == STRUCTURE_CLAUSE_APPLIED
 
 
 def test_clique5_clause_reads_its_conclusion_from_gamma(monkeypatch):
