@@ -38,10 +38,10 @@ from .semigroup import Semigroup, validate
 from .sgt import dumps, loads
 from .theorems import matches_selector, run_all
 
-# Both cutset searches can grow with the cap: the vertex search falls
-# back to vertex subsets, up to C(n, <=cap), on graphs with many minimal
-# separators, and the bond search on the K15,16 of ortho:zg16+zg17 takes
-# about 70 ms at cap 4 and 300 ms at cap 6 on a 2-core host.
+# Both cutset searches grow with the cap: the vertex search with the
+# connected sets whose neighbourhoods fit within it, and the bond search
+# on the K15,16 of ortho:zg16+zg17 takes about 70 ms at cap 4 and 300 ms
+# at cap 6 on a 2-core host, so the bond search sets this bound.
 MAX_CUTSET_CAP = 6
 
 

@@ -47,7 +47,7 @@ import itertools
 import math
 from dataclasses import dataclass, replace
 
-from .errors import MalformedTableError, OrderTooLargeError, UnknownPredicateError
+from .errors import OrderTooLargeError, UnknownPredicateError
 from .graph import (
     bridges,
     chromatic_number,
@@ -57,7 +57,7 @@ from .graph import (
     gamma,
     girth,
 )
-from .semigroup import CayleyTable, Semigroup
+from .semigroup import CayleyTable, Semigroup, _check_shape
 from .theorems import check_gamma_facts, run_all
 
 MIN_ORDER = 2
@@ -300,14 +300,13 @@ def canonical_form(s) -> CayleyTable:
       For sigma(1) this keeps the elements whose square is 0, else the
       idempotents, else the rest.
 
-    Entries must be elements 0..n-1 (MalformedTableError otherwise).
+    The table must have the shape validate checks: n rows of n entries,
+    each an element 0..n-1 (MalformedTableError otherwise).
     """
     table = s.table if isinstance(s, Semigroup) else s
+    _check_shape(table)
     n = table.order
-    rows = table.entries
-    t = [rows[i][j] for i in range(n) for j in range(n)]
-    if t and (min(t) < 0 or max(t) >= n):
-        raise MalformedTableError("table entries must lie in 0..%d" % (n - 1))
+    t = [v for row in table.entries for v in row]
     lo = 0 if any(t[:n]) or any(t[i * n] for i in range(n)) else 1
     cells = [(a, b) for a in range(lo, n) for b in range(lo, n)]
     flat = [0] * (n * n)

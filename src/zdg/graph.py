@@ -29,14 +29,15 @@ connected, so its cost follows the cuts found. Each cut comes with its
 two sides; ``minimal_edge_cutsets`` is its cuts and ``bridges`` its
 one-edge cuts. The minimal vertex cutsets are the minimal separators
 whose components are all full, each component adjacent to every cutset
-vertex. Two searches find them: the closure of Berry, Bordat and Cogis
-(2000), which grows new separators from the neighbourhoods of the
-components that old ones leave, so its cost follows the number of
-minimal separators; and a search over the vertex subsets up to the cap,
-whose cost follows C(n, <=cap). The closure runs first with a share of
-the subset search's bound, and the subset search answers if that runs
-out. The cut vertices are the one-vertex cutsets. A graph too small to
-split has empty answers, not errors.
+vertex. One search finds them: from each root it grows a connected
+set C, the least full component of the cutset to be, together with the
+cutset T = N(C), placing each neighbour of C into one or the other and
+stopping once C outgrows half of what T leaves or T the cap. Each cutset
+is reached on one path, and a BFS runs only where N(C) is settled, so
+the cost follows the connected sets with few neighbours (Fomin and
+Villanger, 2012) rather than C(n, <=cap). The cut vertices are the
+one-vertex cutsets. A graph too small to split has empty answers, not
+errors.
 
 Colourings are colour classes as position masks: first-fit classes bound
 the clique search, and χ is the least k from ω up with a k-colouring.
@@ -413,86 +414,63 @@ def minimal_vertex_cutsets(g: Graph, size_cap: int = DEFAULT_CUTSET_CAP) -> tupl
 def _vertex_cutsets(g: Graph, size_cap: int) -> tuple[frozenset[int], ...]:
     """The search behind minimal_vertex_cutsets.
 
-    Two searches find the cutsets; each BFS counts as one step. The subset
-    search takes at most one step per set of at most cap vertices. The
-    closure over minimal separators takes steps in proportion to their
-    number, whatever the cap: Γ(powerset:5) has 40, but a graph with a
-    vertex joined to all others and 9 disjoint paths of 4 edges between
-    two hubs has more than 3^9. So the closure runs first with an eighth
-    of the subset search's bound, and if it spends that, the subset
-    search answers: a graph costs at most about 9/8 of what the subset
-    search alone would.
+    A minimal cutset T leaves two or more components, all full, so its
+    least full component C, by size and then least position r, has at
+    most (n - |T|)/2 vertices. From each root r the search grows C and
+    T together: it starts from C = {r} and T empty, keeps F = N(C) - T,
+    the neighbours of C not yet placed, and places the least v in F
+    either into C, if v > r, or into T, if |T| < cap and v has a
+    neighbour outside C, T and F, where the other components must lie.
+    Every vertex of F ends in C or T, and all but cap - |T| of them in
+    C, so with b = |N(C)| = |T| + |F| a branch ends once
+    2|C| + b + max(0, b - cap) > n, and once no vertex lies outside C,
+    T and F. When F is empty, N(C) = T, and T is kept if G-C-T is
+    nonempty and each of its components D is full and comes after C:
+    (|D|, least(D)) > (|C|, r). The least full component and the order
+    of placements fix the path to each cutset, so each is reached once
+    and no set of the ones seen is kept.
+
+    Each path makes at most cap moves into T and at most n/2 into C,
+    and a BFS runs only at its leaf. Fomin and Villanger (2012) bound
+    the connected sets of a + 1 vertices with b neighbours that contain
+    a given vertex by C(a + b, b), so the leaves stay few when the cap
+    is small.
     """
     _require_connected(g)
     n = g.n
     cap = min(size_cap, n - 2)
     if cap < 1 or g.edge_count == n * (n - 1) // 2:
         return ()
-    subsets = sum(math.comb(n, k) for k in range(1, cap + 1))
-    found = _separator_cutsets(g, cap, subsets // 8)
-    if found is None:
-        found = _subset_cutsets(g, cap)
+    masks = g._mask
+    full = (1 << n) - 1
+    found = []
+    for r in range(n):
+        # (C, T, F) as position masks
+        stack = [(1 << r, 0, masks[r])]
+        while stack:
+            c, t, f = stack.pop()
+            rest = full & ~(c | t | f)
+            b = (t | f).bit_count()
+            if not rest or 2 * c.bit_count() + b + max(0, b - cap) > n:
+                continue
+            if not f:
+                least = (c.bit_count(), 1 << r)
+                if all(
+                    g._around(d) & t == t and (d.bit_count(), d & -d) > least
+                    for d in g._split(rest)
+                ):
+                    found.append(t)
+                continue
+            v = f & -f
+            f ^= v
+            around = masks[v.bit_length() - 1] & rest
+            if around and t.bit_count() < cap:
+                stack.append((c, t | v, f))
+            if v >> r > 1:
+                stack.append((c | v, t, f | around))
     out = [frozenset(g.vertices[i] for i in _positions(t)) for t in found]
     out.sort(key=lambda c: (len(c), sorted(c)))
     return tuple(out)
-
-
-def _all_full(g: Graph, t: int, comps: list[int]) -> bool:
-    """Whether every component of G-T is adjacent to every vertex of T."""
-    return all(g._around(comp) & t == t for comp in comps)
-
-
-def _separator_cutsets(g: Graph, cap: int, budget: int) -> list[int] | None:
-    """The cutsets of at most cap vertices among the minimal separators,
-    or None once listing these has taken more than budget BFS steps.
-
-    The separators come from the closure of Berry, Bordat and Cogis
-    ("Generating all the minimal separators of a graph", 2000): N(C) for
-    each component C of G-N[v], for each vertex v; then, for each
-    separator S found and each x in S, N(C) for each component C of
-    G-(S u N(x)), until nothing new appears.
-    """
-    masks = g._mask
-    full = (1 << g.n) - 1
-    # vertex sets whose removal leaves components to take separators from
-    todo = [masks[v] | 1 << v for v in range(g.n)]
-    seps: set[int] = set()
-    steps = 0
-    while todo:
-        if steps > budget:
-            return None
-        comps = g._split(full & ~todo.pop())
-        steps += len(comps)
-        for comp in comps:
-            sep = g._around(comp) & ~comp
-            if sep not in seps:
-                seps.add(sep)
-                todo += [sep | masks[x] for x in _positions(sep)]
-    return [
-        sep for sep in seps
-        if sep.bit_count() <= cap and _all_full(g, sep, g._split(full & ~sep))
-    ]
-
-
-def _subset_cutsets(g: Graph, cap: int) -> list[int]:
-    """The cutsets of at most cap vertices, over vertex sets grown one
-    position at a time in increasing order; a set that cuts is never
-    grown further, since no superset of a cutset is minimal."""
-    full = (1 << g.n) - 1
-    found = []
-    # (T, the least position T may grow by)
-    stack = [(0, 0)]
-    while stack:
-        t, nxt = stack.pop()
-        for v in range(nxt, g.n):
-            cand = t | 1 << v
-            comps = g._split(full & ~cand)
-            if len(comps) > 1:
-                if _all_full(g, cand, comps):
-                    found.append(cand)
-            elif cand.bit_count() < cap:
-                stack.append((cand, v + 1))
-    return found
 
 
 def components_without_edges(g: Graph, removed_edges) -> list[frozenset[int]]:

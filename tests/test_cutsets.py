@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import random
+import time
 
 import pytest
 
@@ -23,7 +24,6 @@ from zdg import (
     validate,
 )
 from zdg.cli import main
-from zdg.graph import _separator_cutsets, _subset_cutsets
 from oracles import (
     brute_minimal_edge_cutsets,
     brute_minimal_vertex_cutsets,
@@ -111,33 +111,51 @@ def test_cutsets_match_oracles_on_random_graphs():
     assert assert_matches_oracles(connected_random_graphs(200)) == 200
 
 
-def vertex_sets(g, masks):
-    return sorted(sorted(g.vertices[i] for i in range(g.n) if m >> i & 1) for m in masks)
+def grid(rows, cols):
+    """The rows x cols grid graph; 2 x k is the ladder."""
+    edges = [(r * cols + c, r * cols + c + 1) for r in range(rows) for c in range(cols - 1)]
+    edges += [(r * cols + c, (r + 1) * cols + c) for r in range(rows - 1) for c in range(cols)]
+    return Graph(range(rows * cols), edges)
+
+
+def tied_component_graphs():
+    """Graphs of at most 10 vertices with cutsets whose full components
+    tie in size, so the least one is told apart by its least vertex."""
+    for k in range(4, 11):
+        yield Graph(range(k), [(i, (i + 1) % k) for i in range(k)])
+    for k in range(2, 5):
+        yield Graph(range(2 * k), [(i, k + j) for i in range(k) for j in range(k)])
+    for k in range(2, 6):
+        yield grid(2, k)
+    yield grid(3, 3)
+    outer = [(i, (i + 1) % 5) for i in range(5)]
+    inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    yield Graph(range(10), outer + inner + [(i, 5 + i) for i in range(5)])
+    yield Graph(range(6), [(i, i + 1) for i in range(5)])
+    yield Graph(range(7), [(0, i) for i in range(1, 7)])
+    yield Graph(range(8), [(0, 1)] + [(0, i) for i in (2, 3, 4)] + [(1, i) for i in (5, 6, 7)])
 
 
 def test_vertex_cutsets_match_oracle_at_caps_5_and_6():
     # the edge oracle is too slow at these caps, so this compares the
-    # vertex search alone; caps above n - 2 leave no room for a cutset.
-    # Each of its two searches is compared on its own at every cap too,
-    # since which one answers depends on the graph and the cap
+    # vertex search alone at every cap up to 6; caps above n - 2 leave
+    # no room for a cutset
     seen = set()
     graphs = itertools.chain(
-        corpus_graphs(), example_graphs(), connected_random_graphs(200))
+        corpus_graphs(), example_graphs(), connected_random_graphs(200),
+        tied_component_graphs())
     for g in graphs:
         key = (g.vertices, g.edges())
         if g.n < 3 or key in seen:
             continue
         seen.add(key)
         brute = brute_minimal_vertex_cutsets(g, 6)
-        for cap in (5, 6):
+        for cap in range(1, 7):
             assert minimal_vertex_cutsets(g, cap) == tuple(t for t in brute if len(t) <= cap)
-        for cap in range(1, min(6, g.n - 2) + 1):
-            want = sorted(sorted(t) for t in brute if len(t) <= cap)
-            assert vertex_sets(g, _separator_cutsets(g, cap, g.n ** 3)) == want
-            assert vertex_sets(g, _subset_cutsets(g, cap)) == want
     # 15 corpus, 16 example and 199 random graphs of 3 or more vertices,
-    # 3 of them found twice
-    assert len(seen) == 227
+    # 3 of them found twice, and 19 graphs with tied components, 3 of
+    # them 4-cycles found before
+    assert len(seen) == 243
 
 
 def test_edge_cutsets_leave_two_connected_sides():
@@ -196,8 +214,9 @@ def test_complete_k23_cutsets():
 def test_vertex_cutsets_of_k15_16_need_few_searches(monkeypatch):
     # Γ(ortho:zg16+zg17) is K15,16, whose least vertex cut has 15
     # vertices: a search over vertex subsets visits all C(31, <=6) of
-    # them at cap 6, the closure over minimal separators finds just the
-    # two parts
+    # them at cap 6, while a component grown from one vertex has more
+    # than 6 neighbours at once and is given up before a leaf, so the
+    # only BFS left is the one that finds the graph connected
     g = gamma(builtin_example("ortho:zg16+zg17"))
     assert (g.n, g.edge_count) == (31, 240)
     calls = 0
@@ -221,8 +240,9 @@ def hub_paths_with_apex():
     xy = 0 on the edges and xy = b otherwise, while 0 and b annihilate
     everything, so every product of three elements is 0. The 3^9 ways
     to cut each path once at an inner vertex, with b, are minimal
-    separators of 10 vertices, so the closure over minimal separators
-    has 19,683 and more to list whatever the cap.
+    separators of 10 vertices, so a search that lists every minimal
+    separator and keeps the small ones has 19,683 and more to list
+    whatever the cap.
     """
     edges = []
     for p in range(9):
@@ -237,16 +257,18 @@ def hub_paths_with_apex():
     return validate(CayleyTable.from_rows(rows))
 
 
-# Graph._reach calls of the subset search alone on the graph above, as
-# measured at the commit before the closure: at cap 1 and at cap 4
+# Graph._reach calls of a search over the vertex subsets within the cap
+# on the graph above, as measured when the package had one: at cap 1 and
+# at cap 4
 SUBSET_SEARCH_REACH_CALLS = {1: 31, 4: 33_324}
 
 
 @pytest.mark.parametrize("cap", [1, 4])
 def test_vertex_cutsets_of_many_separators_cost_no_more_than_subsets(monkeypatch, cap):
-    # the closure gives way to the subset search once it has spent an
-    # eighth of that search's bound, so the whole costs at most 9/8 of
-    # what the subset search alone did, plus the split that overran
+    # the search never passes through the separators above the cap, and
+    # it runs a BFS only where a component's neighbourhood is settled,
+    # so it stays far under what the subset search did; the time bounds
+    # below measure the rest of its work
     g = gamma(hub_paths_with_apex())
     assert (g.n, g.edge_count) == (30, 65)
     want = brute_minimal_vertex_cutsets(g, cap)
@@ -262,6 +284,42 @@ def test_vertex_cutsets_of_many_separators_cost_no_more_than_subsets(monkeypatch
     monkeypatch.setattr(Graph, "_reach", counted)
     assert minimal_vertex_cutsets(g, cap) == want
     assert calls <= SUBSET_SEARCH_REACH_CALLS[cap] * 9 // 8 + g.n
+
+
+def connected_random_graph(seed, n, m):
+    """The first connected graph of n vertices and m edges drawn from a
+    random.Random(seed)."""
+    rng = random.Random(seed)
+    pairs = list(itertools.combinations(range(n), 2))
+    while True:
+        g = Graph(range(n), rng.sample(pairs, m))
+        if g.is_connected():
+            return g
+
+
+# (graph, cap, cutsets within the cap). Each count was confirmed once
+# against the earlier closure and subset searches, which took 2.6 s,
+# 4 ms and 0.6 s on these; the random graph's 10 also against
+# brute_minimal_vertex_cutsets, in about 2 s
+TIMED_CUTSETS = {
+    "hub-paths": (lambda: gamma(hub_paths_with_apex()), 6, 46),
+    "powerset:5": (lambda: gamma(builtin_example("powerset:5")), 6, 5),
+    "random-40": (lambda: connected_random_graph(2207, 40, 114), 4, 10),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TIMED_CUTSETS))
+def test_vertex_cutsets_within_a_second(name):
+    # the counts of BFS calls above no longer bound the search's work,
+    # so these bound its time on the graphs that were hardest for the
+    # earlier searches
+    build, cap, count = TIMED_CUTSETS[name]
+    g = build()
+    t0 = time.monotonic()
+    found = minimal_vertex_cutsets(g, cap)
+    elapsed = time.monotonic() - t0
+    assert len(found) == count
+    assert elapsed < 1.0
 
 
 # confirmed once against brute_minimal_edge_cutsets and

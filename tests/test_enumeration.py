@@ -216,6 +216,11 @@ def test_canonical_form_rejects_out_of_range_entries():
         canonical_form(CayleyTable.from_rows([[0, 0], [0, 2]]))
     with pytest.raises(MalformedTableError):
         canonical_form(CayleyTable.from_rows([[0, 0], [0, -1]]))
+    # too few rows, and too many: neither may be read as its n x n corner
+    with pytest.raises(MalformedTableError):
+        canonical_form(CayleyTable(order=3, entries=((0, 0), (0, 0))))
+    with pytest.raises(MalformedTableError):
+        canonical_form(CayleyTable(order=3, entries=((0, 0, 0),) * 4))
 
 
 def test_null_semigroups_share_canonical_form():
