@@ -19,6 +19,7 @@ from . import __version__
 from .catalog import MAX_BUILTIN_ORDER, builtin_example
 from .enumeration import (
     EnumerationOptions,
+    audit,
     available_predicates,
     enumerate_semigroups,
     search,
@@ -26,6 +27,7 @@ from .enumeration import (
 from .errors import OrderTooLargeError, SgtFormatError, ValidationError, ZdgError
 from .graph import DEFAULT_CUTSET_CAP, adjacency_listing, gamma, gamma_bar, to_dot
 from .report import (
+    audit_block,
     graph_block,
     invariants_block,
     invariants_text,
@@ -176,6 +178,14 @@ def _cmd_search(args) -> int:
     return _write_corpus(search(opts, args.predicate, workers=args.workers))
 
 
+def _cmd_audit(args) -> int:
+    opts = EnumerationOptions(
+        order=args.order, up_to_iso=args.up_to_iso, require_reduced=args.reduced
+    )
+    sys.stdout.write(render(audit_block(audit(opts, workers=args.workers))))
+    return 0
+
+
 def _cmd_example(args) -> int:
     s = builtin_example(args.id)
     if args.format == "report":
@@ -243,13 +253,14 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--format", choices=("text", "report"), default="text")
     sp.set_defaults(fn=_cmd_check)
 
-    def add_corpus_flags(sp):
+    def add_corpus_flags(sp, limit=True):
         sp.add_argument("--order", type=int, required=True, metavar="N")
         sp.add_argument("--up-to-iso", action="store_true")
         sp.add_argument("--reduced", action="store_true")
-        sp.add_argument(
-            "--limit", type=_int_at_least(0), default=None, metavar="M"
-        )
+        if limit:
+            sp.add_argument(
+                "--limit", type=_int_at_least(0), default=None, metavar="M"
+            )
         sp.add_argument("--workers", type=_int_at_least(1), default=1, metavar="W")
 
     sp = sub.add_parser(
@@ -270,6 +281,13 @@ def _build_parser() -> argparse.ArgumentParser:
         "argument, e.g. girth:4" % ", ".join(available_predicates()),
     )
     sp.set_defaults(fn=_cmd_search)
+
+    sp = sub.add_parser(
+        "audit", help="tally every structure check over all semigroups of one order"
+    )
+    add_corpus_flags(sp, limit=False)
+    sp.add_argument("--format", choices=("report",), default="report")
+    sp.set_defaults(fn=_cmd_audit)
 
     sp = sub.add_parser("example", help="emit a built-in example table")
     sp.add_argument("id", help="example id, e.g. ex3.4 or powerset:3")

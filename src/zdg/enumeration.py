@@ -39,6 +39,12 @@ answers its reduced predicate with this pruning and builds no Γ for it.
 enumerate_semigroups holds the Γ pool: for the length of one call every
 semigroup it yields takes Γ and Γ̄ from one pool, so the tables with one
 labelled Γ share one Graph and every answer it derives.
+
+audit runs the up-to-isomorphism stream for every corpus. The paper's
+clauses are stated up to isomorphism, so a raw audit counts each class
+once for each of the (n-1)!/|Aut| raw tables in its orbit. |Aut| is the
+number of relabelings _least completes when a canonical table is its own
+bound (see _least).
 """
 
 from __future__ import annotations
@@ -148,23 +154,31 @@ def _least(t, n, cells, bound=None):
     """Least cell values over the relabelings fixing 0.
 
     t is the flat n*n table and cells the (row, column) label pairs to
-    compare, in order. Returns the lex-least list of cell values. With a
-    bound, it returns None at the first candidate cell below the bound
-    (the bound is beaten), and the bound when no relabeling goes below
-    it. There t may be partial: the value n marks an unfilled cell, and
-    a relabeling still tied with the bound stops, not beaten, at the
-    first unfilled cell it reads. See canonical_form for the search.
+    compare, in order. Returns the lex-least list of cell values and the
+    number of relabelings completed on it. With a bound, it returns None
+    at the first candidate cell below the bound (the bound is beaten),
+    and the bound when no relabeling goes below it. There t may be
+    partial: the value n marks an unfilled cell, and a relabeling still
+    tied with the bound stops, not beaten, at the first unfilled cell it
+    reads. See canonical_form for the search.
+
+    The search drops a relabeling only where it makes some cell larger
+    than another relabeling does, and gives each branch its own element
+    for the label, so when the cells cover the whole table it completes
+    every relabeling that gives the least table, each once. The count is
+    then |Aut| of the least table.
     """
     ncells = len(cells)
     cand = [0] * ncells
     best = bound
+    ties = 0
 
     # sigma[label] = element and pos[element] = label; labels cs[i] up to
     # ce[i] (exclusive) form the block holding label i. A state belongs to
     # one call of walk, which may change it in place.
     def walk(c, tied, sigma, pos, cs, ce):
-        """Fill cells from c on; True when best was replaced below."""
-        nonlocal best
+        """Fill cells from c on; True when a completion tied or replaced best."""
+        nonlocal best, ties
         while c < ncells:
             a, b = cells[c]
             if ce[a] - cs[a] > 1:
@@ -215,7 +229,11 @@ def _least(t, n, cells, bound=None):
                         tied = False
                     cand[c] = v
                     c += 1
-        best = cand[:]
+        if tied:
+            ties += 1
+        else:
+            best = cand[:]
+            ties = 1
         return True
 
     def branch(c, tied, sigma, pos, cs, ce, lab):
@@ -260,7 +278,7 @@ def _least(t, n, cells, bound=None):
              [0] + [1] * (n - 1), [1] + [n] * (n - 1))
     except _Beaten:
         return None
-    return best
+    return best, ties
 
 
 def _rows(n, r):
@@ -271,6 +289,15 @@ def _rows(n, r):
 def _beaten(n, t, cells) -> bool:
     """True when some relabeling fixing 0 makes the cells smaller."""
     return _least(t, n, cells, [t[a * n + b] for a, b in cells]) is None
+
+
+def _automorphisms(table: CayleyTable) -> int:
+    """|Aut(T)| of a canonical table T: the relabelings fixing 0 that
+    _least completes with T as its own bound."""
+    n = table.order
+    t = [v for row in table.entries for v in row]
+    cells = _rows(n, n - 1)
+    return _least(t, n, cells, [t[a * n + b] for a, b in cells])[1]
 
 
 def canonical_form(s) -> CayleyTable:
@@ -310,7 +337,7 @@ def canonical_form(s) -> CayleyTable:
     lo = 0 if any(t[:n]) or any(t[i * n] for i in range(n)) else 1
     cells = [(a, b) for a in range(lo, n) for b in range(lo, n)]
     flat = [0] * (n * n)
-    for (a, b), v in zip(cells, _least(t, n, cells)):
+    for (a, b), v in zip(cells, _least(t, n, cells)[0]):
         flat[a * n + b] = v
     entries = tuple(tuple(flat[r * n:(r + 1) * n]) for r in range(n))
     return CayleyTable(order=n, entries=entries, names=None)
@@ -416,9 +443,12 @@ class ClauseTally:
 class AuditReport:
     """Checker tallies over one enumerated corpus.
 
-    counterexamples holds (table, clause verdict) pairs for every
-    applicable clause that failed, each witness already built as a plain
-    dict; an empty tuple is the expected outcome.
+    counterexamples holds a (table, clause verdict, weight) triple for
+    every applicable clause that failed, each witness already built as a
+    plain dict; an empty tuple is the expected outcome. The table is a
+    class's canonical table and the weight the number of tables of the
+    corpus it stands for: its orbit size in a raw audit, 1 up to
+    isomorphism. The tallies and total count the same way.
     """
 
     order: int
@@ -433,25 +463,37 @@ class AuditReport:
 
 
 def audit(opts: EnumerationOptions, workers: int = 1) -> AuditReport:
-    """Run every structure check (default cutset cap) and the background facts over a corpus."""
+    """Run every structure check (default cutset cap) and the background facts over a corpus.
+
+    Every corpus is audited from its isomorphism classes. Whether a clause
+    applies and whether it holds do not depend on how the table is
+    labelled, so on raw options each class counts once for every raw
+    table in its orbit, (n-1)!/|Aut| of them. A raw limit would cut an
+    orbit, so it is refused with ValueError.
+    """
+    raw = not opts.up_to_iso
+    if raw and opts.limit is not None:
+        raise ValueError("a raw audit counts whole orbits of tables and takes no limit")
+    relabelings = math.factorial(opts.order - 1)
     tallies: dict[str, list[int]] = {}
     counterexamples = []
     total = 0
-    for s in enumerate_semigroups(opts, workers=workers):
-        total += 1
+    for s in enumerate_semigroups(replace(opts, up_to_iso=True), workers=workers):
+        weight = relabelings // _automorphisms(s.table) if raw else 1
+        total += weight
         for c in itertools.chain(*run_all(s).values(), check_gamma_facts(s)):
             row = tallies.setdefault(c.theorem_id, [0, 0, 0])
             if not c.applicable:
                 continue
-            row[0] += 1
+            row[0] += weight
             if c.holds:
-                row[1] += 1
+                row[1] += weight
             else:
-                row[2] += 1
+                row[2] += weight
                 # build the witness now: the report keeps a dict, not a
                 # builder holding s and the call's Γ pool
                 c.witness
-                counterexamples.append((s.table, c))
+                counterexamples.append((s.table, c, weight))
     return AuditReport(
         order=opts.order,
         up_to_iso=opts.up_to_iso,

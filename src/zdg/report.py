@@ -120,6 +120,14 @@ def verdict_block(v) -> dict:
 
 
 def audit_block(rep) -> dict:
+    """The audit report; a raw audit gives each counterexample, a class
+    table, the size of its orbit of raw tables too."""
+    examples = []
+    for tb, c, weight in rep.counterexamples:
+        example = {"table": table_block(tb), "verdict": verdict_block(c)}
+        if not rep.up_to_iso:
+            example["orbit_size"] = weight
+        examples.append(example)
     return {
         "order": rep.order,
         "up_to_iso": rep.up_to_iso,
@@ -128,10 +136,7 @@ def audit_block(rep) -> dict:
             tid: {"applicable": t.applicable, "held": t.held, "failed": t.failed}
             for tid, t in rep.tallies.items()
         },
-        "counterexamples": [
-            {"table": table_block(tb), "verdict": verdict_block(c)}
-            for tb, c in rep.counterexamples
-        ],
+        "counterexamples": examples,
     }
 
 

@@ -100,15 +100,16 @@ def test_audit_builds_one_graph_per_labelled_gamma(monkeypatch):
     built = _count_graphs(monkeypatch)
     rep = audit(EnumerationOptions(4))
     assert rep.total == 194
-    # the arguments are the labelled graph: eleven distinct ones
-    assert len(built) == len(set(built)) == 11
+    # a raw audit runs the 39 classes; the arguments are the labelled
+    # graph, and their Γ and Γ̄ are six distinct ones
+    assert len(built) == len(set(built)) == 6
 
 
 def test_a_second_audit_starts_its_own_pool(monkeypatch):
     built = _count_graphs(monkeypatch)
     audit(EnumerationOptions(4))
     audit(EnumerationOptions(4))
-    assert len(built) == 22
+    assert len(built) == 12
 
 
 def test_one_enumeration_hands_equal_labelled_gammas_one_graph():
@@ -138,7 +139,7 @@ def test_a_search_builds_gamma_only_for_a_predicate_that_reads_it(monkeypatch):
     monkeypatch.undo()
     built = _count_graphs(monkeypatch)
     assert list(search(EnumerationOptions(4), "has-bridge"))
-    # as many graphs as the audit of the same tables builds
+    # one graph per distinct labelled Γ of the 194 raw tables
     assert len(built) == len(set(built)) == 11
 
 
@@ -228,11 +229,18 @@ def test_audit_counterexamples_keep_plain_witnesses(monkeypatch):
 
     monkeypatch.setattr(theorems, "check_median_center_ideals", failing)
     rep = audit(EnumerationOptions(3))
-    assert len(rep.counterexamples) == 2 * rep.tallies["thm-2.2-median"].failed > 0
+    # one counterexample per failing class and clause, standing for its
+    # orbit of raw tables
+    failed = rep.tallies["thm-2.2-median"].failed
+    assert sum(weight for _, _, weight in rep.counterexamples) == 2 * failed > 0
+    assert len(rep.counterexamples) < 2 * failed
     # a builder left in the report could not be pickled
     copy = pickle.loads(pickle.dumps(rep))
     assert copy == rep
     lazy = report.render(report.audit_block(copy))
+    assert lazy.count('"orbit_size"') == len(rep.counterexamples)
+    iso = audit(EnumerationOptions(3, up_to_iso=True))
+    assert iso.counterexamples and '"orbit_size"' not in report.render(report.audit_block(iso))
 
     build_now = theorems._v
     monkeypatch.setattr(

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from zdg import sgt
+from zdg import EnumerationOptions, audit, report, sgt
 from zdg.cli import main
 from children import run_python
 
@@ -471,6 +471,40 @@ def test_search_predicate_at_its_least_argument_finds_matches(capsys, predicate)
     code, out, _ = run_cli(capsys, "search", "--order", "4", "--predicate", predicate)
     assert code == 0
     assert out.strip()
+
+
+# -- audit ----------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+@pytest.mark.parametrize("iso", [[], ["--up-to-iso"]], ids=["raw", "iso"])
+def test_audit_prints_the_library_report(capsys, iso, workers):
+    code, out, _ = run_cli(capsys, "audit", "--order", "4", *iso, "--workers", workers)
+    rep = audit(EnumerationOptions(4, up_to_iso=bool(iso)))
+    assert code == 0
+    assert out == report.render(report.audit_block(rep))
+    assert json.loads(out)["total_examined"] == (39 if iso else 194)
+
+
+def test_audit_reduced_and_report_format(capsys):
+    code, out, _ = run_cli(capsys, "audit", "--order", "5", "--reduced", "--format", "report")
+    assert code == 0
+    assert out == report.render(report.audit_block(
+        audit(EnumerationOptions(5, require_reduced=True))))
+    assert json.loads(out)["total_examined"] == 1709
+
+
+def test_audit_rejects_large_order(capsys):
+    code, out, err = run_cli(capsys, "audit", "--order", "9")
+    assert (code, out) == (1, "")
+    assert "orders 2 through 6" in err
+
+
+def test_audit_takes_no_limit(capsys):
+    # a raw audit weights whole orbits, so it cannot stop after M tables
+    with pytest.raises(SystemExit) as info:
+        main(["audit", "--order", "3", "--limit", "5"])
+    assert info.value.code == 2
 
 
 def test_missing_subcommand_is_usage_error():

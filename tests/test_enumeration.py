@@ -33,7 +33,12 @@ from zdg import (
     validate,
 )
 from zdg import enumeration
-from oracles import brute_canonical_form, burnside_class_count, naive_zero_tables
+from oracles import (
+    automorphism_count,
+    brute_canonical_form,
+    burnside_class_count,
+    naive_zero_tables,
+)
 
 # raw counts pinned from the naive generate-and-filter oracle
 RAW_COUNTS = {2: 2, 3: 14, 4: 194}
@@ -357,7 +362,8 @@ def test_audit_order_two_is_mostly_vacuous():
 
 def _audit_without_sharing(opts) -> AuditReport:
     """audit's report from a fresh semigroup per table, so that no graph
-    or answer is shared between tables."""
+    or answer is shared between tables, and on raw options from every raw
+    table rather than from the classes weighted by orbit size."""
     tallies = {}
     counterexamples = []
     total = 0
@@ -370,7 +376,7 @@ def _audit_without_sharing(opts) -> AuditReport:
                 row[0] += 1
                 row[1 if c.holds else 2] += 1
                 if not c.holds:
-                    counterexamples.append((s.table, c))
+                    counterexamples.append((s.table, c, 1))
     return AuditReport(
         order=opts.order,
         up_to_iso=opts.up_to_iso,
@@ -382,11 +388,32 @@ def _audit_without_sharing(opts) -> AuditReport:
 
 @pytest.mark.parametrize(
     "opts",
-    [EnumerationOptions(n) for n in (2, 3, 4)] + [EnumerationOptions(5, up_to_iso=True)],
-    ids=["raw2", "raw3", "raw4", "iso5"],
+    [EnumerationOptions(n) for n in (2, 3, 4, 5)]
+    + [EnumerationOptions(n, require_reduced=True) for n in (4, 5)]
+    + [EnumerationOptions(5, up_to_iso=True)],
+    ids=["raw2", "raw3", "raw4", "raw5", "reduced4", "reduced5", "iso5"],
 )
 def test_audit_sharing_graphs_equals_audit_of_fresh_semigroups(opts):
     assert audit(opts) == _audit_without_sharing(opts)
+
+
+# the raw counts, orders 5 and 6 counted from the raw stream
+RAW_TOTALS = {**RAW_COUNTS, 5: 4284, 6: 142627}
+
+
+def test_automorphisms_of_every_class_match_the_oracle():
+    for n, raw in RAW_TOTALS.items():
+        classes = tables(EnumerationOptions(n, up_to_iso=True))
+        counts = [enumeration._automorphisms(tb) for tb in classes]
+        assert counts == [automorphism_count(tb.entries) for tb in classes]
+        # the orbits of the classes partition the raw tables
+        assert sum(math.factorial(n - 1) // a for a in counts) == raw
+
+
+def test_a_raw_audit_takes_no_limit():
+    with pytest.raises(ValueError):
+        audit(EnumerationOptions(4, limit=10))
+    assert audit(EnumerationOptions(4, up_to_iso=True, limit=10)).total == 10
 
 
 def test_parallel_audit_renders_the_serial_bytes():
