@@ -17,8 +17,8 @@ Up to isomorphism, a table is kept only when it is canonical: no
 relabeling fixing 0 makes it lex-smaller (it equals its canonical_form).
 The search tests this as it goes, in the manner of Read's orderly
 generation, with canonical_form's own search (_least) stopped at the
-first relabeling that beats the table. A cell not yet filled holds the
-value n:
+first relabeling that beats the table; raw enumeration runs no test. A
+cell not yet filled holds the value n:
 
 - Once row r is complete, for 1 <= r <= n-3, the branch is dropped when
   some relabeling fixing 0 makes rows 1..r smaller before it reads an
@@ -29,12 +29,12 @@ value n:
 - A complete associative table is dropped when any relabeling fixing 0
   makes it smaller; only the tables kept become CayleyTables.
 
-Raw enumeration runs no test.
-
-With require_reduced the generator never puts 0 on the diagonal: x² = 0
-makes x nilpotent, and a nonzero nilpotent has a nonzero power that
-squares to 0, so the tables left are exactly the reduced ones. search
-answers its reduced predicate with this pruning and builds no Γ for it.
+Each cell takes the values of its domain (_domains), which up to iso
+must hold every canonical table. require_reduced drops 0 from the
+diagonal, leaving exactly the reduced tables: x² = 0 makes x nilpotent,
+and a nonzero nilpotent has a nonzero power squaring to 0. With
+workers > 1 each value of the first cell's domain is one worker unit
+(n raw, n-1 reduced), merged in serial order; a limit runs serially.
 
 enumerate_semigroups holds the Γ pool: for the length of one call every
 semigroup it yields takes Γ and Γ̄ from one pool, so the tables with one
@@ -328,7 +328,10 @@ def canonical_form(s) -> CayleyTable:
       idempotents, else the rest.
 
     The table must have the shape validate checks: n rows of n entries,
-    each an element 0..n-1 (MalformedTableError otherwise).
+    each an element 0..n-1 (MalformedTableError otherwise). Cost: one
+    leaf per automorphism, as they all tie: (n-1)! for null:n, about
+    0.5 s at n = 9 and 4 s at n = 10 on a 2-core host, and builtins reach
+    order 32. ROADMAP plans pruning by the automorphisms found at ties.
     """
     table = s.table if isinstance(s, Semigroup) else s
     _check_shape(table)
@@ -356,8 +359,14 @@ def _iso_tests(n, cells):
     return tests
 
 
-def _generate(opts: EnumerationOptions, pinned: int | None = None):
-    """The tables for opts; only those with pinned in the first free cell if given.
+def _domains(opts: EnumerationOptions):
+    """The values of each free cell, in fill order (see the module docstring)."""
+    n, low = opts.order, int(opts.require_reduced)
+    return tuple(tuple(range(low if i == j else 0, n)) for i, j in _cells(n))
+
+
+def _generate(opts: EnumerationOptions, domains):
+    """The tables for opts whose free cells take values from domains.
 
     tests[k] is None or the cells of the canonicity test run once cell k
     of the flat table t is filled; tests[len(cells)] is the leaf's. A cell
@@ -367,11 +376,10 @@ def _generate(opts: EnumerationOptions, pinned: int | None = None):
     cells = _cells(n)
     rank, watch = _prepare(n, cells)
     tests = _iso_tests(n, cells) if opts.up_to_iso else [None] * (len(cells) + 1)
-    require_reduced = opts.require_reduced
     t = [n if i and j else 0 for i in range(n) for j in range(n)]
 
-    def descend(k, values=None):
-        """Complete tables from cell k on, cell k taking values (default: all)."""
+    def descend(k):
+        """Complete tables from cell k on."""
         test = tests[k]
         if k == len(cells):
             if _assoc_full(n, t) and not (test and _beaten(n, t, test)):
@@ -380,46 +388,41 @@ def _generate(opts: EnumerationOptions, pinned: int | None = None):
             return
         i, j = cells[k]
         ij, ji = i * n + j, j * n + i
-        for v in range(n) if values is None else values:
-            if v == 0 and i == j and require_reduced:
-                continue  # a zero square would make i nilpotent
-            t[ij] = v
-            t[ji] = v
+        for v in domains[k]:
+            t[ij] = t[ji] = v
             if _watch_ok(n, t, rank, watch[k], k) and not (test and _beaten(n, t, test)):
                 yield from descend(k + 1)
-        t[ij] = n
-        t[ji] = n
+        t[ij] = t[ji] = n
 
-    yield from descend(0, None if pinned is None else (pinned,))
+    yield from descend(0)
 
 
-def _branch_entries(opts: EnumerationOptions, pinned: int):
-    return [tb.entries for tb in _generate(opts, pinned)]
+def _branch_entries(opts: EnumerationOptions, domains):
+    return [tb.entries for tb in _generate(opts, domains)]
 
 
 def _parallel_tables(opts: EnumerationOptions, workers: int):
-    """The tables for opts, each first-cell branch run in a worker process
-    and the branches merged in serial order."""
+    """The tables for opts, one worker unit per value of the first cell."""
     from concurrent.futures import ProcessPoolExecutor
 
-    n = opts.order
-    with ProcessPoolExecutor(max_workers=min(workers, n)) as pool:
-        for chunk in pool.map(_branch_entries, [opts] * n, range(n)):
+    domains = _domains(opts)
+    units = [((v,), *domains[1:]) for v in domains[0]]
+    with ProcessPoolExecutor(max_workers=min(workers, len(units))) as pool:
+        for chunk in pool.map(_branch_entries, [opts] * len(units), units):
             for entries in chunk:
-                yield CayleyTable(order=n, entries=entries)
+                yield CayleyTable(order=opts.order, entries=entries)
 
 
 def enumerate_semigroups(opts: EnumerationOptions, workers: int = 1):
     """Yield every valid semigroup for the options, in ascending table order.
 
-    With workers > 1 the value of the first free cell splits the search
-    into independent branches run in separate processes; the merge keeps
-    the serial emission order. A limit forces the serial path, which can
-    stop early. The call holds one Γ pool for all it yields (see the
-    module docstring), dropped with the stream.
+    With workers > 1 each value of the first cell's domain is one unit
+    (n units raw, n-1 reduced) run in a worker process, merged in serial
+    order; a limit runs serially, to stop early. The call holds one Γ
+    pool for all it yields (see the module docstring), dropped with it.
     """
     if workers <= 1 or opts.limit is not None:
-        tables = itertools.islice(_generate(opts), opts.limit)
+        tables = itertools.islice(_generate(opts, _domains(opts)), opts.limit)
     else:
         tables = _parallel_tables(opts, workers)
     graphs: dict = {}

@@ -146,6 +146,53 @@ def test_workers_preserve_serial_order_at_order_5(flags, count):
     assert [t.entries for t in tables(opts, workers=2)] == serial
 
 
+class InProcessPool:
+    """Stands in for ProcessPoolExecutor: records its size and the units
+    mapped, and runs each unit in this process."""
+
+    runs = []
+
+    def __init__(self, max_workers):
+        self.max_workers = max_workers
+        self.runs.append(self)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, opts, units):
+        self.units = list(units)
+        return [fn(o, unit) for o, unit in zip(opts, self.units)]
+
+
+@pytest.mark.parametrize("flags", [
+    {},
+    {"up_to_iso": True},
+    {"require_reduced": True},
+    {"up_to_iso": True, "require_reduced": True},
+])
+def test_worker_units_pin_each_value_of_the_first_domain(monkeypatch, flags):
+    # a unit is the tuple of cell domains with the first cell pinned to
+    # one value; a reduced run has no 1·1 = 0 unit, which yields nothing
+    import concurrent.futures
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(InProcessPool, "runs", [])
+    opts = EnumerationOptions(order=4, **flags)
+    merged = [t.entries for t in enumeration._parallel_tables(opts, workers=8)]
+    (pool,) = InProcessPool.runs
+    n, low = 4, int(opts.require_reduced)
+    cells = [(i, j) for i in range(1, n) for j in range(i, n)]
+    rest = tuple(tuple(range(low if i == j else 0, n)) for i, j in cells[1:])
+    assert pool.units == [((v,),) + rest for v in range(low, n)]
+    assert pool.max_workers == len(pool.units) == n - low
+    if opts.require_reduced:
+        assert all(unit[0] != (0,) for unit in pool.units)
+    assert merged == [t.entries for t in tables(opts)]
+
+
 def test_order_6_classes_are_pinned_serially_and_with_workers():
     opts = EnumerationOptions(order=6, up_to_iso=True)
     serial = [t.entries for t in tables(opts)]

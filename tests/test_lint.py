@@ -305,3 +305,37 @@ def test_traced_benchmark_names_resolve_to_plain_functions():
             if not inspect.isfunction(fn):
                 missing.append("%s.%s" % (mod, name))
     assert missing == []
+
+
+# the options _generate may read itself; any other choice of which tables
+# to build is a cell's domain, made by _domains or by a work unit
+GENERATOR_FIELDS = {"order", "up_to_iso"}
+
+
+def test_generator_reads_only_order_and_up_to_iso():
+    path = PACKAGE / "enumeration.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    options = next(
+        node for node in tree.body
+        if isinstance(node, ast.ClassDef) and node.name == "EnumerationOptions"
+    )
+    fields = {
+        node.target.id for node in options.body
+        if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)
+    }
+    assert GENERATOR_FIELDS < fields
+    (fn,) = [
+        node for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name == "_generate"
+    ]
+    args = fn.args
+    params = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
+    params += [a.arg for a in (args.vararg, args.kwarg) if a is not None]
+    assert params == ["opts", "domains"]
+    found = [
+        "enumeration.py:%d %s" % (node.lineno, name)
+        for node in ast.walk(fn)
+        for name in [getattr(node, "attr", None), getattr(node, "value", None)]
+        if isinstance(name, str) and name in fields - GENERATOR_FIELDS
+    ]
+    assert found == []
