@@ -179,9 +179,7 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_audit(args) -> int:
-    opts = EnumerationOptions(
-        order=args.order, up_to_iso=args.up_to_iso, require_reduced=args.reduced
-    )
+    opts = _corpus_options(args)
     sys.stdout.write(render(audit_block(audit(opts, workers=args.workers))))
     return 0
 
@@ -287,7 +285,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     add_corpus_flags(sp, limit=False)
     sp.add_argument("--format", choices=("report",), default="report")
-    sp.set_defaults(fn=_cmd_audit)
+    sp.set_defaults(fn=_cmd_audit, limit=None)
 
     sp = sub.add_parser("example", help="emit a built-in example table")
     sp.add_argument("id", help="example id, e.g. ex3.4 or powerset:3")
@@ -304,10 +302,7 @@ def main(argv=None) -> int:
         return args.fn(args)
     except BrokenPipeError:
         return 0
-    except ZdgError as err:
-        print("error: %s" % err, file=sys.stderr)
-        return 1
-    except OSError as err:
+    except (ZdgError, OSError) as err:
         print("error: %s" % err, file=sys.stderr)
         return 1
 

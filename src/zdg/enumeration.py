@@ -59,9 +59,9 @@ from .graph import (
     chromatic_number,
     clique_number,
     complete_multipartite_partition,
-    cut_vertices,
     gamma,
     girth,
+    minimal_vertex_cutsets,
 )
 from .semigroup import CayleyTable, Semigroup, _check_shape
 from .theorems import check_gamma_facts, run_all
@@ -328,10 +328,12 @@ def canonical_form(s) -> CayleyTable:
       idempotents, else the rest.
 
     The table must have the shape validate checks: n rows of n entries,
-    each an element 0..n-1 (MalformedTableError otherwise). Cost: one
-    leaf per automorphism, as they all tie: (n-1)! for null:n, about
-    0.5 s at n = 9 and 4 s at n = 10 on a 2-core host, and builtins reach
-    order 32. ROADMAP plans pruning by the automorphisms found at ties.
+    each an element 0..n-1 (MalformedTableError otherwise). Cost: at
+    least one leaf per automorphism, as they all tie: (n-1)! for null:n,
+    4 s at n = 10 on a 2-core host. A row tied under every relabeling
+    prunes nothing either: zg:n's row 1 is the identity, so about (n-2)!
+    branches run before row 2 splits any, and zg:12 takes about 15 s with
+    |Aut| = 10. Pruning at automorphism ties alone will not bound this.
     """
     table = s.table if isinstance(s, Semigroup) else s
     _check_shape(table)
@@ -519,7 +521,8 @@ def _pred_has_bridge(s, arg):
 
 
 def _pred_has_cut_vertex(s, arg):
-    return bool(cut_vertices(gamma(s)))
+    # the cut vertices are the one-vertex cutsets, as cor-2.3 reads them
+    return bool(minimal_vertex_cutsets(gamma(s), 1))
 
 
 def _pred_girth(s, arg):

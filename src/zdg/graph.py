@@ -7,16 +7,17 @@ pruning over asymptotic tricks.
 
 A graph stores its adjacency once, as one bitmask of neighbour positions
 per vertex, and every traversal is the layered bitmask BFS of
-``Graph._reach``: components, distances, girth and the separator
-searches. A graph is immutable, so what it derives is computed at most
-once and kept on it: components, the BFS layers from every vertex, the
-distances and eccentricities of ``metrics``, girth, the clique and
-chromatic numbers, the complete multipartite partition, median and
-center, and per cap the bonds and the minimal vertex cutsets, and per
-vertex set the induced subgraph, each in one place; 2-colourability
-reads the cached layers. Every answer is immutable (tuples and
-frozensets all the way down, a frozen GraphMetrics, a Graph), since one
-graph may serve many semigroups.
+``Graph._reach``, the one reader of the per-byte neighbourhood tables:
+components, distances, girth and the separator searches. A graph is
+immutable, so what it derives is computed at most once and kept on it:
+components, the BFS layers from every vertex, the distances and
+eccentricities of ``metrics``, girth, the clique and chromatic numbers,
+the complete multipartite partition, median and center, and per cap the
+bonds and the minimal vertex cutsets, and per vertex set the induced
+subgraph, each in one place; 2-colourability reads the cached layers.
+Every answer is immutable (tuples and frozensets all the way down, a
+frozen GraphMetrics, a Graph), since one graph may serve many
+semigroups.
 
 A semigroup builds Γ and Γ̄ once (see ``Semigroup._gamma``), so every
 checker of one semigroup shares one graph and one metrics object.
@@ -157,10 +158,9 @@ class Graph:
         """Positions reachable from the mask seeds inside the mask allowed.
 
         BFS a whole layer at a time: the neighbours of the frontier come
-        from one table lookup per byte of it, the lookup of ``_around``
-        written out here, since calling it per layer made the BFS 3-16%
-        slower. If layers is a list, the mask of each layer (distance 0,
-        1, ... from the seeds) is appended to it.
+        from one lookup in ``_union_tables`` per byte of it, the one place
+        that reads those tables. If layers is a list, the mask of each
+        layer (distance 0, 1, ... from the seeds) is appended to it.
         """
         tables = self._union_tables
         seen = frontier = seeds & allowed
@@ -174,15 +174,6 @@ class Graph:
             frontier = nbrs & allowed & ~seen
             seen |= frontier
         return seen
-
-    def _around(self, mask: int) -> int:
-        """The union of the neighbour masks of the positions in mask: one
-        table lookup per byte of it."""
-        nbrs = 0
-        for tab in self._union_tables:
-            nbrs |= tab[mask & 255]
-            mask >>= 8
-        return nbrs
 
     def _split(self, allowed: int) -> list[int]:
         """Connected components inside the position mask allowed, as
@@ -456,7 +447,8 @@ def _vertex_cutsets(g: Graph, size_cap: int) -> tuple[frozenset[int], ...]:
             if not f:
                 least = (c.bit_count(), 1 << r)
                 if all(
-                    g._around(d) & t == t and (d.bit_count(), d & -d) > least
+                    all(masks[i] & d for i in _positions(t))
+                    and (d.bit_count(), d & -d) > least
                     for d in g._split(rest)
                 ):
                     found.append(t)

@@ -27,6 +27,7 @@ import math
 
 from .graph import (
     DEFAULT_CUTSET_CAP,
+    _positions,
     bonds,
     center,
     chromatic_number,
@@ -39,6 +40,7 @@ from .graph import (
     metrics,
     minimal_vertex_cutsets,
 )
+from .semigroup import _bits
 
 
 class Verdict:
@@ -146,28 +148,12 @@ def check_median_center_ideals(s) -> tuple[Verdict, ...]:
 # -- cut vertices and cutsets -------------------------------------------------
 
 
-def _endpoints(cut) -> int:
-    """V(T) as a mask: the endpoints of the edges of the cut T."""
-    ends = 0
-    for x, y in cut:
-        ends |= 1 << x | 1 << y
-    return ends
-
-
 def _escapes(rm, ends) -> dict[int, int]:
     """Each endpoint x of a cut whose Sx leaves V(T) with 0, ascending,
     mapped to the mask of Sx outside V(T) and 0; ends is V(T) as a mask.
     V(T) with 0 is an ideal exactly when there are none (S0 = {0})."""
     outside = ~(ends | 1)
-    found = {}
-    rest = ends
-    while rest:
-        low = rest & -rest
-        rest ^= low
-        x = low.bit_length() - 1
-        if escape := rm[x] & outside:
-            found[x] = escape
-    return found
+    return {x: escape for x in _positions(ends) if (escape := rm[x] & outside)}
 
 
 def _bond_holds(escapes, sides) -> bool:
@@ -235,12 +221,14 @@ def check_cut_structures(s, size_cap: int = DEFAULT_CUTSET_CAP) -> tuple[Verdict
             lambda: {"size_cap": size_cap}, "no minimal edge cutsets within the cap",
         ))
     else:
-        escapes_per_bond = [_escapes(rm, _endpoints(cut)) for cut, _ in ecs]
+        # V(T) as a mask per bond: the endpoints of the edges of its cut T
+        ends_per_bond = [_bits(v for edge in cut for v in edge) for cut, _ in ecs]
+        escapes_per_bond = [_escapes(rm, ends) for ends in ends_per_bond]
 
         def bond_records():
             recs = []
-            for (cut, sides), escapes in zip(ecs, escapes_per_bond):
-                vt = _listed(_endpoints(cut))
+            for (cut, sides), ends, escapes in zip(ecs, ends_per_bond, escapes_per_bond):
+                vt = _listed(ends)
                 side_recs = []
                 for side in sides:
                     crossing = [x for x in vt if x in side]

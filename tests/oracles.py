@@ -638,6 +638,30 @@ def naive_all_parts_large_clause(rows):
     )
 
 
+def naive_colouring_clauses(rows, chi=None):
+    """The five colouring clauses of Section 4, each id mapped to its
+    (applicable, holds). χ and ω of Γ come by brute force, χ unless it
+    is given, and k counts a smallest family of prime ideals meeting in
+    {0}, None when no family does."""
+    g = naive_gamma(rows)
+    chi = brute_chromatic_number(g) if chi is None else chi
+    omega = brute_clique_number(g)
+    dec = brute_smallest_decomposition(rows)
+    k = None if dec is None else len(dec)
+    reduced = naive_nilpotents(rows) == {0}
+    verdicts = {
+        "fact-chi-ge-omega": (True, omega <= chi),
+        "thm-4.1-decomposition-exists": (reduced, dec is not None),
+        "thm-4.1-coloring-bound": (k is not None, k is not None and chi <= k),
+        "cor-4.2-chi-omega-count": (reduced and k is not None and k >= 2, chi == omega == k),
+        "thm-4.4-chi-omega-small": (
+            chi <= 2 or omega <= 2,
+            all((chi == n) == (omega == n) for n in (1, 2)),
+        ),
+    }
+    return {tid: (app, holds or not app) for tid, (app, holds) in verdicts.items()}
+
+
 # -- report text and table validation ----------------------------------------
 
 

@@ -49,7 +49,7 @@ def test_package_does_not_enumerate_subsets_or_permutations():
 
 GRAPH_INTERNALS = {
     "_mask", "_reach", "_split", "_union_tables", "_bfs_layers", "_pos",
-    "_around", "_components", "_bonds", "_vertex_cutsets", "_induced",
+    "_components", "_bonds", "_vertex_cutsets", "_induced",
 }
 
 
@@ -65,6 +65,27 @@ def test_only_graph_module_reads_graph_internals():
             "%s:%d %s" % (path.name, node.lineno, node.attr)
             for node in ast.walk(tree)
             if isinstance(node, ast.Attribute) and node.attr in GRAPH_INTERNALS
+        ]
+    assert found == []
+
+
+def test_only_reach_reads_the_union_tables():
+    # the neighbourhood of a set of positions is looked up in one place,
+    # the BFS of Graph._reach; a second reader would be a second copy of
+    # that lookup beside it
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for cls in tree.body:
+            if isinstance(cls, ast.ClassDef) and cls.name == "Graph":
+                cls.body = [
+                    node for node in cls.body
+                    if not (isinstance(node, ast.FunctionDef) and node.name == "_reach")
+                ]
+        found += [
+            "%s:%d" % (path.name, node.lineno)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == "_union_tables"
         ]
     assert found == []
 

@@ -36,6 +36,7 @@ from oracles import (
     naive_bridge_two_sided_clause,
     naive_center_clause,
     naive_clique5_clause,
+    naive_colouring_clauses,
     naive_cut_vertex_clause,
     naive_edge_cutset_clause,
     naive_maximal_annihilator_clause,
@@ -246,12 +247,17 @@ def test_maximal_annihilators_reuse_the_associated_prime_tests(name, monkeypatch
 # -- clause oracles ------------------------------------------------------------------------
 
 
-def clause_oracle_corpus():
-    """Raw tables of orders 2-4, the order-5 classes, and the builtins where
-    prop-2.9c (the two unions) and thm-2.5's two-sided case (ex3.4) apply."""
+def small_table_corpus():
+    """Raw tables of orders 2-4 and the order-5 classes."""
     for order in (2, 3, 4):
         yield from enumerate_semigroups(EnumerationOptions(order))
     yield from enumerate_semigroups(EnumerationOptions(5, up_to_iso=True))
+
+
+def clause_oracle_corpus():
+    """small_table_corpus() and the builtins where prop-2.9c (the two
+    unions) and thm-2.5's two-sided case (ex3.4) apply."""
+    yield from small_table_corpus()
     for name in ("ortho:powerset2+powerset3", "ortho:powerset2+powerset2+powerset2", "ex3.4"):
         yield builtin_example(name)
 
@@ -361,6 +367,72 @@ def test_clique5_clause_reads_its_conclusion_from_gamma(monkeypatch):
     monkeypatch.setattr(theorems, "gamma", lambda _: k4)
     c = clause(check_ass_properties(s), "prop-2.9c-clique-5")
     assert (c.applicable, c.holds) == naive_clique5_clause(s.table.entries, k4) == (True, False)
+
+
+# how often each applies over small_table_corpus(); every one holds
+COLOURING_CLAUSE_APPLIED = {
+    "fact-chi-ge-omega": 436,
+    "thm-4.1-decomposition-exists": 183,
+    "thm-4.1-coloring-bound": 183,
+    "cor-4.2-chi-omega-count": 55,
+    "thm-4.4-chi-omega-small": 337,
+}
+
+
+def colouring_outcomes(s) -> dict:
+    """Each colouring clause of s mapped to its (applicable, holds)."""
+    return {c.theorem_id: (c.applicable, c.holds) for c in check_chromatic(s)}
+
+
+def test_colouring_clauses_match_their_row_oracle():
+    # the builtins of clause_oracle_corpus() are left out: their Γ are
+    # too large for the brute-force chromatic number
+    applied = dict.fromkeys(COLOURING_CLAUSE_APPLIED, 0)
+    for s in small_table_corpus():
+        outcomes = colouring_outcomes(s)
+        assert outcomes == naive_colouring_clauses(s.table.entries), s.table
+        for theorem_id, (applicable, _) in outcomes.items():
+            applied[theorem_id] += applicable
+    assert applied == COLOURING_CLAUSE_APPLIED
+
+
+# every table satisfies the colouring clauses, so only a false χ handed
+# to checker and oracle alike shows each conclusion evaluated; on
+# powerset:2, ω = k = 2, so χ = 1 breaks χ >= ω and χ = 3 breaks χ <= k
+@pytest.mark.parametrize("chi, at_least_omega, at_most_k", [(1, False, True), (3, True, False)])
+def test_colouring_conclusions_read_chi(chi, at_least_omega, at_most_k, monkeypatch):
+    s = builtin_example("powerset:2")
+    monkeypatch.setattr(theorems, "chromatic_number", lambda _: (chi, ()))
+    assert colouring_outcomes(s) == naive_colouring_clauses(s.table.entries, chi) == {
+        "fact-chi-ge-omega": (True, at_least_omega),
+        "thm-4.1-decomposition-exists": (True, True),
+        "thm-4.1-coloring-bound": (True, at_most_k),
+        "cor-4.2-chi-omega-count": (True, False),
+        "thm-4.4-chi-omega-small": (True, False),
+    }
+
+
+def test_colouring_clauses_read_the_decomposition(monkeypatch):
+    # a reduced semigroup always decomposes zero and one that is not
+    # never does, so only a decomposition handed to the checker shows
+    # thm-4.1's conclusion evaluated and cor-4.2 asking for reduced
+    monkeypatch.setattr(Semigroup, "zero_prime_decomposition", lambda self: None)
+    assert colouring_outcomes(builtin_example("powerset:2")) == {
+        "fact-chi-ge-omega": (True, True),
+        "thm-4.1-decomposition-exists": (True, False),
+        "thm-4.1-coloring-bound": (False, True),
+        "cor-4.2-chi-omega-count": (False, True),
+        "thm-4.4-chi-omega-small": (True, True),
+    }
+    primes = (frozenset({0, 1}), frozenset({0, 2}))
+    monkeypatch.setattr(Semigroup, "zero_prime_decomposition", lambda self: primes)
+    assert colouring_outcomes(builtin_example("null:3")) == {
+        "fact-chi-ge-omega": (True, True),
+        "thm-4.1-decomposition-exists": (False, True),
+        "thm-4.1-coloring-bound": (True, True),
+        "cor-4.2-chi-omega-count": (False, True),
+        "thm-4.4-chi-omega-small": (True, True),
+    }
 
 
 # -- complete multipartite structure ----------------------------------------------------------
