@@ -29,22 +29,33 @@ cell not yet filled holds the value n:
 - A complete associative table is dropped when any relabeling fixing 0
   makes it smaller; only the tables kept become CayleyTables.
 
-Each cell takes the values of its domain (_domains), which up to iso
-must hold every canonical table. require_reduced drops 0 from the
-diagonal, leaving exactly the reduced tables: x² = 0 makes x nilpotent,
-and a nonzero nilpotent has a nonzero power squaring to 0. With
-workers > 1 each value of the first cell's domain is one worker unit
-(n raw, n-1 reduced), merged in serial order; a limit runs serially.
+Each cell takes the values of its domain, which up to iso must hold
+every canonical table. require_reduced drops 0 from the diagonal,
+leaving exactly the reduced tables: x² = 0 makes x nilpotent, and a
+nonzero nilpotent has a nonzero power squaring to 0. The domains come
+in work units (_units), one per value of the first cell, 1·1: n raw,
+n-1 reduced. Up to iso there are two, 1·1 = 0 with the full domains and
+1·1 = 1 with 0 left out of every diagonal domain (reduced: the second
+alone). If some x ≠ 0 has x² = 0, relabeling x as 1 puts 0 in the first
+compared cell, which beats any table with 1·1 >= 1. If no such x
+exists, no nonzero element is nilpotent, so the idempotent power e of 1
+is nonzero, and relabeling e as 1 gives 1·1 = 1. So 1·1 >= 2 is never
+canonical, and 1·1 = 1 forces every square to be nonzero. The serial
+stream runs the units in turn; with workers > 1 and more than one unit,
+each runs in a worker process, merged in serial order. A limit runs
+serially.
 
-enumerate_semigroups holds the Γ pool: for the length of one call every
-semigroup it yields takes Γ and Γ̄ from one pool, so the tables with one
-labelled Γ share one Graph and every answer it derives.
+_semigroups, the stream behind enumerate_semigroups and audit, holds
+the Γ pool: for the length of one call every semigroup it yields takes
+Γ and Γ̄ from one pool, so the tables with one labelled Γ share one
+Graph and every answer it derives.
 
 audit runs the up-to-isomorphism stream for every corpus. The paper's
 clauses are stated up to isomorphism, so a raw audit counts each class
 once for each of the (n-1)!/|Aut| raw tables in its orbit. |Aut| is the
 number of relabelings _least completes when a canonical table is its own
-bound (see _least).
+bound (see _least): the leaf test counts it, and each kept table
+carries it.
 """
 
 from __future__ import annotations
@@ -286,18 +297,12 @@ def _rows(n, r):
     return [(a, b) for a in range(1, r + 1) for b in range(1, n)]
 
 
-def _beaten(n, t, cells) -> bool:
-    """True when some relabeling fixing 0 makes the cells smaller."""
-    return _least(t, n, cells, [t[a * n + b] for a, b in cells]) is None
-
-
-def _automorphisms(table: CayleyTable) -> int:
-    """|Aut(T)| of a canonical table T: the relabelings fixing 0 that
-    _least completes with T as its own bound."""
-    n = table.order
-    t = [v for row in table.entries for v in row]
-    cells = _rows(n, n - 1)
-    return _least(t, n, cells, [t[a * n + b] for a, b in cells])[1]
+def _ties(n, t, cells):
+    """None when some relabeling fixing 0 makes the cells smaller, else the
+    number of relabelings _least completes tied with them: |Aut| when
+    the cells are the whole of a complete table."""
+    least = _least(t, n, cells, [t[a * n + b] for a, b in cells])
+    return None if least is None else least[1]
 
 
 def canonical_form(s) -> CayleyTable:
@@ -349,7 +354,7 @@ def canonical_form(s) -> CayleyTable:
 
 
 def _iso_tests(n, cells):
-    """Per-cell canonicity tests, each the cells _beaten compares: rows
+    """Per-cell canonicity tests, each the cells _ties compares: rows
     1..r once row r is complete, for 1 <= r <= n-3, and the whole table
     at the leaf. Rows 1..r read only filled cells under a relabeling that
     maps labels 1..r into 1..r; any other relabeling may stop early at
@@ -361,14 +366,21 @@ def _iso_tests(n, cells):
     return tests
 
 
-def _domains(opts: EnumerationOptions):
-    """The values of each free cell, in fill order (see the module docstring)."""
+def _units(opts: EnumerationOptions):
+    """The work units: for each value of 1·1, the values of each free
+    cell in fill order (see the module docstring)."""
     n, low = opts.order, int(opts.require_reduced)
-    return tuple(tuple(range(low if i == j else 0, n)) for i, j in _cells(n))
+    # (1·1, least square) of each unit; up to iso 1·1 = 1 leaves no zero square
+    firsts = [(v, v) for v in range(low, 2)] if opts.up_to_iso else [(v, low) for v in range(low, n)]
+    return [
+        ((v,), *(tuple(range(square if i == j else 0, n)) for i, j in _cells(n)[1:]))
+        for v, square in firsts
+    ]
 
 
 def _generate(opts: EnumerationOptions, domains):
-    """The tables for opts whose free cells take values from domains.
+    """The tables for opts whose free cells take values from domains, as
+    (CayleyTable, |Aut|) pairs; |Aut| is 0 on a raw run, which tests nothing.
 
     tests[k] is None or the cells of the canonicity test run once cell k
     of the flat table t is filled; tests[len(cells)] is the leaf's. A cell
@@ -384,54 +396,56 @@ def _generate(opts: EnumerationOptions, domains):
         """Complete tables from cell k on."""
         test = tests[k]
         if k == len(cells):
-            if _assoc_full(n, t) and not (test and _beaten(n, t, test)):
-                rows = [tuple(t[r * n:(r + 1) * n]) for r in range(n)]
-                yield CayleyTable(order=n, entries=tuple(rows))
+            if _assoc_full(n, t) and (aut := _ties(n, t, test) if test else 0) is not None:
+                yield CayleyTable(order=n, entries=[t[r * n:(r + 1) * n] for r in range(n)]), aut
             return
         i, j = cells[k]
         ij, ji = i * n + j, j * n + i
         for v in domains[k]:
             t[ij] = t[ji] = v
-            if _watch_ok(n, t, rank, watch[k], k) and not (test and _beaten(n, t, test)):
+            if _watch_ok(n, t, rank, watch[k], k) and (test is None or _ties(n, t, test) is not None):
                 yield from descend(k + 1)
         t[ij] = t[ji] = n
 
     yield from descend(0)
 
 
-def _branch_entries(opts: EnumerationOptions, domains):
-    return [tb.entries for tb in _generate(opts, domains)]
+def _unit_tables(opts: EnumerationOptions, domains):
+    return list(_generate(opts, domains))
 
 
-def _parallel_tables(opts: EnumerationOptions, workers: int):
-    """The tables for opts, one worker unit per value of the first cell."""
+def _parallel_tables(opts: EnumerationOptions, units, workers: int):
+    """The _generate pairs of every unit, each unit in a worker process."""
     from concurrent.futures import ProcessPoolExecutor
 
-    domains = _domains(opts)
-    units = [((v,), *domains[1:]) for v in domains[0]]
     with ProcessPoolExecutor(max_workers=min(workers, len(units))) as pool:
-        for chunk in pool.map(_branch_entries, [opts] * len(units), units):
-            for entries in chunk:
-                yield CayleyTable(order=opts.order, entries=entries)
+        yield from itertools.chain.from_iterable(pool.map(_unit_tables, [opts] * len(units), units))
+
+
+def _semigroups(opts: EnumerationOptions, workers: int):
+    """(Semigroup, |Aut|) for every table of opts; see enumerate_semigroups.
+    This generator holds the Γ pool (see the module docstring)."""
+    units = _units(opts)
+    if workers <= 1 or len(units) == 1 or opts.limit is not None:
+        found = itertools.islice(itertools.chain(*(_generate(opts, u) for u in units)), opts.limit)
+    else:
+        found = _parallel_tables(opts, units, workers)
+    graphs: dict = {}
+    for tb, aut in found:
+        s = Semigroup(tb)
+        s._graphs = graphs
+        yield s, aut
 
 
 def enumerate_semigroups(opts: EnumerationOptions, workers: int = 1):
     """Yield every valid semigroup for the options, in ascending table order.
 
-    With workers > 1 each value of the first cell's domain is one unit
-    (n units raw, n-1 reduced) run in a worker process, merged in serial
-    order; a limit runs serially, to stop early. The call holds one Γ
+    With workers > 1 each work unit (n raw, n-1 reduced, 2 up to iso and
+    1 reduced up to iso) runs in a worker process, merged in serial
+    order; one unit, or a limit, runs serially. The call holds one Γ
     pool for all it yields (see the module docstring), dropped with it.
     """
-    if workers <= 1 or opts.limit is not None:
-        tables = itertools.islice(_generate(opts, _domains(opts)), opts.limit)
-    else:
-        tables = _parallel_tables(opts, workers)
-    graphs: dict = {}
-    for tb in tables:
-        s = Semigroup(tb)
-        s._graphs = graphs
-        yield s
+    yield from (s for s, _ in _semigroups(opts, workers))
 
 
 # -- corpus audit --------------------------------------------------------------
@@ -483,8 +497,8 @@ def audit(opts: EnumerationOptions, workers: int = 1) -> AuditReport:
     tallies: dict[str, list[int]] = {}
     counterexamples = []
     total = 0
-    for s in enumerate_semigroups(replace(opts, up_to_iso=True), workers=workers):
-        weight = relabelings // _automorphisms(s.table) if raw else 1
+    for s, aut in _semigroups(replace(opts, up_to_iso=True), workers):
+        weight = relabelings // aut if raw else 1
         total += weight
         for c in itertools.chain(*run_all(s).values(), check_gamma_facts(s)):
             row = tallies.setdefault(c.theorem_id, [0, 0, 0])

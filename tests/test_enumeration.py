@@ -175,22 +175,48 @@ class InProcessPool:
 ])
 def test_worker_units_pin_each_value_of_the_first_domain(monkeypatch, flags):
     # a unit is the tuple of cell domains with the first cell pinned to
-    # one value; a reduced run has no 1·1 = 0 unit, which yields nothing
+    # one value; a reduced run has no 1·1 = 0 unit, which yields nothing.
+    # Up to iso, 1·1 is 0 or 1 and 1·1 = 1 leaves 0 off the diagonal
     import concurrent.futures
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
     monkeypatch.setattr(InProcessPool, "runs", [])
     opts = EnumerationOptions(order=4, **flags)
-    merged = [t.entries for t in enumeration._parallel_tables(opts, workers=8)]
+    units = enumeration._units(opts)
+    merged = [tb.entries for tb, _ in enumeration._parallel_tables(opts, units, workers=8)]
     (pool,) = InProcessPool.runs
     n, low = 4, int(opts.require_reduced)
     cells = [(i, j) for i in range(1, n) for j in range(i, n)]
-    rest = tuple(tuple(range(low if i == j else 0, n)) for i, j in cells[1:])
-    assert pool.units == [((v,),) + rest for v in range(low, n)]
-    assert pool.max_workers == len(pool.units) == n - low
+
+    def rest(square):
+        return tuple(tuple(range(square if i == j else 0, n)) for i, j in cells[1:])
+
+    if opts.up_to_iso:
+        expected = [((v,),) + rest(v) for v in range(low, 2)]
+    else:
+        expected = [((v,),) + rest(low) for v in range(low, n)]
+    assert pool.units == expected
+    assert pool.max_workers == len(pool.units) == (2 - low if opts.up_to_iso else n - low)
     if opts.require_reduced:
         assert all(unit[0] != (0,) for unit in pool.units)
     assert merged == [t.entries for t in tables(opts)]
+
+
+def test_a_run_with_one_unit_starts_no_pool(monkeypatch):
+    # reduced up to iso has the one unit 1·1 = 1: a worker process would
+    # run it while this process waits
+    import concurrent.futures
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(InProcessPool, "runs", [])
+    opts = EnumerationOptions(order=5, up_to_iso=True, require_reduced=True)
+    assert len(enumeration._units(opts)) == 1
+    serial = [t.entries for t in tables(opts)]
+    assert [t.entries for t in tables(opts, workers=2)] == serial
+    assert InProcessPool.runs == []
+    # a run with two units does start one
+    assert tables(replace(opts, require_reduced=False), workers=2)
+    assert len(InProcessPool.runs) == 1
 
 
 def test_order_6_classes_are_pinned_serially_and_with_workers():
@@ -296,6 +322,21 @@ def test_up_to_iso_emits_canonical_representatives_only():
         assert canonical_form(s.table).entries == s.table.entries
 
 
+def test_canonical_forms_have_1_1_in_0_1_and_no_zero_square_when_it_is_1():
+    # the two facts behind the up-to-iso units, read off brute-force
+    # canonical forms: orders 2-4 from the naive oracle, order 5 from the
+    # raw stream (the naive oracle takes about 40 s there)
+    corpora = {n: naive_zero_tables(n) for n in (2, 3, 4)}
+    corpora[5] = (t.entries for t in tables(EnumerationOptions(5)))
+    for n, corpus in corpora.items():
+        forms = {brute_canonical_form(CayleyTable(n, rows)).entries for rows in corpus}
+        assert len(forms) == ISO_COUNTS[n]
+        for rows in forms:
+            assert rows[1][1] in (0, 1)
+            if rows[1][1] == 1:
+                assert all(rows[x][x] for x in range(1, n))
+
+
 def brute_filtered(opts):
     """The raw stream for opts, kept where brute_canonical_form fixes the
     table, up to opts.limit."""
@@ -313,14 +354,14 @@ def canonicity_tests(monkeypatch):
     """Canonicity tests run, by last row read and whether a smaller
     relabeling was found."""
     runs = collections.Counter()
-    test = enumeration._beaten
+    test = enumeration._ties
 
     def counted(n, t, cells):
-        hit = test(n, t, cells)
-        runs[cells[-1][0], hit] += 1
-        return hit
+        ties = test(n, t, cells)
+        runs[cells[-1][0], ties is None] += 1
+        return ties
 
-    monkeypatch.setattr(enumeration, "_beaten", counted)
+    monkeypatch.setattr(enumeration, "_ties", counted)
     return runs
 
 
@@ -336,8 +377,10 @@ def test_up_to_iso_stream_is_the_brute_filtered_raw_stream(
         assert canonicity_tests[1, True] > 0
         assert canonicity_tests[2, True] > 0
     if order == 5 and not reduced:
-        # prefix tests over labels 1..r alone, from r = 2, ran 7,385 tests
-        assert sum(canonicity_tests.values()) == 2372
+        # prefix tests over labels 1..r alone, from r = 2, ran 7,385 tests;
+        # 1·1 free in 0..4 with every square free, 2,372: now 474 prefix
+        # tests and 745 at the leaf
+        assert sum(canonicity_tests.values()) == 1219
 
 
 @pytest.mark.parametrize("reduced", (False, True))
@@ -367,9 +410,9 @@ def test_prefix_test_stops_at_an_unfilled_cell():
     rows = {(1, 1): 1, (1, 2): 1, (1, 3): 1, (1, 4): 1,
             (2, 2): 3, (2, 3): 3, (2, 4): 2}
     cells = enumeration._rows(5, 2)
-    assert not enumeration._beaten(5, partial_table(5, rows), cells)
+    assert enumeration._ties(5, partial_table(5, rows), cells) is not None
     # 3*3 = 2 makes cell (2, 2) a tie, so sigma beats the filled table
-    assert enumeration._beaten(5, partial_table(5, {**rows, (3, 3): 2}), cells)
+    assert enumeration._ties(5, partial_table(5, {**rows, (3, 3): 2}), cells) is None
 
 
 def test_prefix_test_moves_labels_past_the_prefix():
@@ -377,7 +420,7 @@ def test_prefix_test_moves_labels_past_the_prefix():
     # sigma(1) in {2, 3} reads an unfilled square; swapping labels 2 and 3
     # gives (0, 0, 1)
     t = partial_table(4, {(1, 1): 0, (1, 2): 1, (1, 3): 0})
-    assert enumeration._beaten(4, t, enumeration._rows(4, 1))
+    assert enumeration._ties(4, t, enumeration._rows(4, 1)) is None
 
 
 # -- audit ----------------------------------------------------------------------
@@ -449,10 +492,11 @@ RAW_TOTALS = {**RAW_COUNTS, 5: 4284, 6: 142627}
 
 
 def test_automorphisms_of_every_class_match_the_oracle():
+    # |Aut| as the leaf test counts it and each class carries it
     for n, raw in RAW_TOTALS.items():
-        classes = tables(EnumerationOptions(n, up_to_iso=True))
-        counts = [enumeration._automorphisms(tb) for tb in classes]
-        assert counts == [automorphism_count(tb.entries) for tb in classes]
+        opts = EnumerationOptions(n, up_to_iso=True)
+        classes, counts = zip(*((s.table, aut) for s, aut in enumeration._semigroups(opts, 1)))
+        assert list(counts) == [automorphism_count(tb.entries) for tb in classes]
         # the orbits of the classes partition the raw tables
         assert sum(math.factorial(n - 1) // a for a in counts) == raw
 

@@ -92,8 +92,9 @@ def test_only_reach_reads_the_union_tables():
 
 def test_only_the_semigroup_and_enumerate_semigroups_touch_the_graph_pool():
     # a semigroup's Γ pool is its own or, for one enumeration call, the
-    # one enumerate_semigroups holds; a second owner would be a second
-    # lifetime for the shared graphs
+    # one held by _semigroups, the stream behind enumerate_semigroups and
+    # audit; a second owner would be a second lifetime for the shared
+    # graphs
     found = []
     for path in sorted(PACKAGE.glob("*.py")):
         if path.name == "semigroup.py":
@@ -102,7 +103,7 @@ def test_only_the_semigroup_and_enumerate_semigroups_touch_the_graph_pool():
         if path.name == "enumeration.py":
             tree.body = [
                 node for node in tree.body
-                if not (isinstance(node, ast.FunctionDef) and node.name == "enumerate_semigroups")
+                if not (isinstance(node, ast.FunctionDef) and node.name == "_semigroups")
             ]
         found += [
             "%s:%d" % (path.name, node.lineno)
@@ -329,7 +330,7 @@ def test_traced_benchmark_names_resolve_to_plain_functions():
 
 
 # the options _generate may read itself; any other choice of which tables
-# to build is a cell's domain, made by _domains or by a work unit
+# to build is a cell's domain, made by _units
 GENERATOR_FIELDS = {"order", "up_to_iso"}
 
 
