@@ -83,12 +83,24 @@ MAX_ORDER = 6
 
 @dataclass(frozen=True)
 class EnumerationOptions:
+    """Which tables a run enumerates: their order, whether one per
+    isomorphism class, whether reduced only, and at most how many.
+
+    order, and limit unless it is None, must be ints and not bools
+    (TypeError otherwise), order within MIN_ORDER..MAX_ORDER
+    (OrderTooLargeError) and limit nonnegative (ValueError).
+    """
+
     order: int
     up_to_iso: bool = False
     require_reduced: bool = False
     limit: int | None = None
 
     def __post_init__(self):
+        limit = 0 if self.limit is None else self.limit  # None: no limit
+        for field, value in (("order", self.order), ("limit", limit)):
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise TypeError("%s must be an int, got %r" % (field, value))
         if not MIN_ORDER <= self.order <= MAX_ORDER:
             raise OrderTooLargeError(
                 "enumeration supports orders %d through %d, got %d"

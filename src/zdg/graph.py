@@ -14,7 +14,9 @@ components, the BFS layers from every vertex, the distances and
 eccentricities of ``metrics``, girth, the clique and chromatic numbers,
 the complete multipartite partition, median and center, and per cap the
 bonds and the minimal vertex cutsets, and per vertex set the induced
-subgraph, each in one place; 2-colourability reads the cached layers.
+subgraph; 2-colourability reads the cached layers. Each search is
+written once, in the definition that keeps its answer: a cached
+property, or a cutset function that reads its per-cap dict first.
 Every answer is immutable (tuples and frozensets all the way down, a
 frozen GraphMetrics, a Graph), since one graph may serve many
 semigroups.
@@ -283,16 +285,57 @@ class Graph:
 
     @cached_property
     def _clique(self) -> tuple[int, tuple[int, ...]]:
-        best = _max_clique_positions(self)
+        """Exact maximum clique by branch and bound. A clique meets each
+        first-fit class of the candidates at most once, so a candidate of
+        class c (from 1) adds at most c; candidates go from the last class
+        back, each class from its highest position down."""
+        masks = self._mask
+        best: list[int] = []
+
+        def expand(current: list[int], cand: int):
+            nonlocal best
+            if not cand:
+                if len(current) > len(best):
+                    best = list(current)
+                return
+            classes = _first_fit(self, _positions(cand))
+            for c in range(len(classes), 0, -1):
+                cls = classes[c - 1]
+                while cls:
+                    if len(current) + c <= len(best):
+                        return
+                    v = cls.bit_length() - 1
+                    cls ^= 1 << v
+                    current.append(v)
+                    expand(current, cand & masks[v])
+                    current.pop()
+                    cand &= ~(1 << v)
+
+        if self.n:
+            expand([], (1 << self.n) - 1)
         return len(best), tuple(sorted(self.vertices[i] for i in best))
 
     @cached_property
     def _chromatic(self) -> tuple[int, tuple[int, ...]]:
-        return _least_colouring(self)
+        order = sorted(range(self.n), key=lambda v: (-self._mask[v].bit_count(), v))
+        k = clique_number(self)[0]
+        while (classes := _k_coloring(self, k, order)) is None:
+            k += 1
+        colors = [0] * self.n
+        for c, cls in enumerate(sorted(classes, key=lambda m: m & -m)):
+            for v in _positions(cls):
+                colors[v] = c
+        return k, tuple(colors)
 
     @cached_property
     def _multipartite(self) -> tuple[frozenset[int], ...] | None:
-        return _multipartite_parts(self)
+        full = (1 << self.n) - 1
+        closed = [full & ~m for m in self._mask]
+        if any(closed[j] != part for part in closed for j in _positions(part)):
+            return None  # an edge inside a would-be part
+        parts = [frozenset(self.vertices[i] for i in _positions(p)) for p in set(closed)]
+        parts.sort(key=lambda p: (len(p), min(p)))
+        return tuple(parts)
 
     @cached_property
     def _center(self) -> frozenset[int]:
@@ -395,15 +438,6 @@ def minimal_vertex_cutsets(g: Graph, size_cap: int = DEFAULT_CUTSET_CAP) -> tupl
     size, then sorted elements. A complete graph, and so any graph of
     fewer than 3 vertices, has no vertex cutsets at all. Computed once
     per graph and cap.
-    """
-    found = g._vertex_cutsets.get(size_cap)
-    if found is None:
-        found = g._vertex_cutsets[size_cap] = _vertex_cutsets(g, size_cap)
-    return found
-
-
-def _vertex_cutsets(g: Graph, size_cap: int) -> tuple[frozenset[int], ...]:
-    """The search behind minimal_vertex_cutsets.
 
     A minimal cutset T leaves two or more components, all full, so its
     least full component C, by size and then least position r, has at
@@ -427,6 +461,9 @@ def _vertex_cutsets(g: Graph, size_cap: int) -> tuple[frozenset[int], ...]:
     a given vertex by C(a + b, b), so the leaves stay few when the cap
     is small.
     """
+    known = g._vertex_cutsets.get(size_cap)
+    if known is not None:
+        return known
     _require_connected(g)
     n = g.n
     cap = min(size_cap, n - 2)
@@ -462,7 +499,8 @@ def _vertex_cutsets(g: Graph, size_cap: int) -> tuple[frozenset[int], ...]:
                 stack.append((c | v, t, f | around))
     out = [frozenset(g.vertices[i] for i in _positions(t)) for t in found]
     out.sort(key=lambda c: (len(c), sorted(c)))
-    return tuple(out)
+    known = g._vertex_cutsets[size_cap] = tuple(out)
+    return known
 
 
 def components_without_edges(g: Graph, removed_edges) -> list[frozenset[int]]:
@@ -483,15 +521,6 @@ def bonds(g: Graph, size_cap: int = DEFAULT_CUTSET_CAP):
     sides the two element sets ordered by least element; pairs come
     ordered by cut size, then cut. A graph of fewer than 2 vertices has
     no bonds. Computed once per graph and cap.
-    """
-    found = g._bonds.get(size_cap)
-    if found is None:
-        found = g._bonds[size_cap] = _bond_search(g, size_cap)
-    return found
-
-
-def _bond_search(g: Graph, size_cap: int):
-    """The search behind bonds.
 
     Fix a BFS spanning tree rooted at position 0. A 2-colouring with the
     root on the near side is determined by which tree edges it cuts, so a
@@ -502,6 +531,9 @@ def _bond_search(g: Graph, size_cap: int):
     vertices not yet placed. Every leaf reached is a bond, so the cost
     follows the number of cuts within the cap rather than E^cap.
     """
+    known = g._bonds.get(size_cap)
+    if known is not None:
+        return known
     _require_connected(g)
     n = g.n
     if n < 2:
@@ -546,7 +578,8 @@ def _bond_search(g: Graph, size_cap: int):
         if if_far <= size_cap:
             stack.append((k + 1, far | 1 << v, if_far))
     found.sort(key=lambda bond: (len(bond[0]), bond[0]))
-    return tuple(found)
+    known = g._bonds[size_cap] = tuple(found)
+    return known
 
 
 def minimal_edge_cutsets(g: Graph, size_cap: int = DEFAULT_CUTSET_CAP) -> tuple[tuple[tuple[int, int], ...], ...]:
@@ -576,37 +609,6 @@ def _first_fit(g: Graph, order) -> list[int]:
         else:
             classes.append(1 << v)
     return classes
-
-
-def _max_clique_positions(g: Graph) -> list[int]:
-    """Exact maximum clique by branch and bound. A clique meets each
-    first-fit class of the candidates at most once, so a candidate of
-    class c (from 1) adds at most c; candidates go from the last class
-    back, each class from its highest position down."""
-    best: list[int] = []
-
-    def expand(current: list[int], cand: int):
-        nonlocal best
-        if not cand:
-            if len(current) > len(best):
-                best = list(current)
-            return
-        classes = _first_fit(g, _positions(cand))
-        for c in range(len(classes), 0, -1):
-            cls = classes[c - 1]
-            while cls:
-                if len(current) + c <= len(best):
-                    return
-                v = cls.bit_length() - 1
-                cls ^= 1 << v
-                current.append(v)
-                expand(current, cand & g._mask[v])
-                current.pop()
-                cand &= ~(1 << v)
-
-    if g.n:
-        expand([], (1 << g.n) - 1)
-    return best
 
 
 def clique_number(g: Graph) -> tuple[int, tuple[int, ...]]:
@@ -658,19 +660,6 @@ def chromatic_number(g: Graph) -> tuple[int, tuple[int, ...]]:
     return g._chromatic
 
 
-def _least_colouring(g: Graph) -> tuple[int, tuple[int, ...]]:
-    """The search behind chromatic_number."""
-    order = sorted(range(g.n), key=lambda v: (-g._mask[v].bit_count(), v))
-    k = clique_number(g)[0]
-    while (classes := _k_coloring(g, k, order)) is None:
-        k += 1
-    colors = [0] * g.n
-    for c, cls in enumerate(sorted(classes, key=lambda m: m & -m)):
-        for v in _positions(cls):
-            colors[v] = c
-    return k, tuple(colors)
-
-
 # -- complete multipartite recognition ---------------------------------------
 
 
@@ -684,17 +673,6 @@ def complete_multipartite_partition(g: Graph) -> tuple[frozenset[int], ...] | No
     Computed once per graph.
     """
     return g._multipartite
-
-
-def _multipartite_parts(g: Graph) -> tuple[frozenset[int], ...] | None:
-    """The test behind complete_multipartite_partition."""
-    full = (1 << g.n) - 1
-    closed = [full & ~m for m in g._mask]
-    if any(closed[j] != part for part in closed for j in _positions(part)):
-        return None  # an edge inside a would-be part
-    parts = [frozenset(g.vertices[i] for i in _positions(p)) for p in set(closed)]
-    parts.sort(key=lambda p: (len(p), min(p)))
-    return tuple(parts)
 
 
 # -- export -------------------------------------------------------------------

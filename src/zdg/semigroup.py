@@ -102,9 +102,12 @@ def validate(table: CayleyTable, max_violations: int = 20) -> "Semigroup":
 
     Verifies that 0 is absorbing, the table is commutative and the
     operation is associative, reporting every violated pair/triple up to
-    ``max_violations``. Raises MalformedTableError for shape problems and
+    ``max_violations``, which must be at least 1 (ValueError otherwise,
+    before any check). Raises MalformedTableError for shape problems and
     ValidationError for law violations.
     """
+    if max_violations < 1:
+        raise ValueError("max_violations must be at least 1, got %r" % (max_violations,))
     _check_shape(table)
     n = table.order
     t = table.entries

@@ -662,6 +662,64 @@ def naive_colouring_clauses(rows, chi=None):
     return {tid: (app, holds or not app) for tid, (app, holds) in verdicts.items()}
 
 
+def _diameter(g):
+    """The greatest distance between two vertices of g, math.inf when g is
+    disconnected and 0 when it has at most one vertex."""
+    return max((max(row) for row in naive_distances(g)), default=0)
+
+
+def naive_nilpotent_subgraph_clause(rows, diameter=None):
+    """prop-2.1: the nonzero nilpotents induce a connected subgraph of Γ of
+    diameter at most 2, or at most the given diameter's outcome."""
+    nil = naive_nilpotents(rows) - {0}
+    if not nil:
+        return False, True
+    sub = Graph(nil, [(x, y) for x, y in naive_gamma_edges(rows) if x in nil and y in nil])
+    diameter = _diameter(sub) if diameter is None else diameter
+    return True, len(naive_components(sub)) == 1 and diameter <= 2
+
+
+def naive_girth_3_clause(rows, girth=None):
+    """prop-2.9b: three or more associated primes force Γ to have girth 3
+    (of the given girth, when one is given)."""
+    if len(naive_associated_primes(rows)) < 3:
+        return False, True
+    return True, (brute_girth(naive_gamma(rows)) if girth is None else girth) == 3
+
+
+def naive_girth_4_clause(rows, girth=None):
+    """cor-3.3: exactly two associated primes, each of three or more
+    elements, meeting only in 0, force Γ to have girth 4."""
+    primes = [ann for _, ann in naive_associated_primes(rows)]
+    if len(primes) != 2 or min(map(len, primes)) < 3 or primes[0] & primes[1] != {0}:
+        return False, True
+    return True, (brute_girth(naive_gamma(rows)) if girth is None else girth) == 4
+
+
+def naive_complete_bipartite_clause(rows, parts=False):
+    """rem-3.2b: S reduced with Γ nonempty and bipartite: Γ is complete
+    bipartite, its multipartite parts two. parts, when not False, stands
+    for the parts of Γ (None for a graph that is not complete
+    multipartite)."""
+    g = naive_gamma(rows)
+    if naive_nilpotents(rows) != {0} or not g.n or not naive_is_bipartite(g):
+        return False, True
+    parts = naive_multipartite_parts(g) if parts is False else parts
+    return True, parts is not None and len(parts) == 2
+
+
+def naive_gamma_facts_clause(rows, diameter=None, girth=None):
+    """dms-gamma-facts: a nonempty Γ is connected, of diameter at most 3 and
+    girth 3, 4 or infinite; diameter and girth, when given, stand for
+    Γ's."""
+    g = naive_gamma(rows)
+    if not g.n:
+        return False, True
+    diameter = _diameter(g) if diameter is None else diameter
+    girth = brute_girth(g) if girth is None else girth
+    return True, len(naive_components(g)) == 1 and diameter <= 3 and girth in (3, 4, math.inf)
+
+
 # -- report text and table validation ----------------------------------------
 
 

@@ -234,6 +234,19 @@ def test_order_bounds_are_enforced():
         EnumerationOptions(order=1)
 
 
+@pytest.mark.parametrize("fields", [
+    {"order": 3.0}, {"order": True}, {"order": "3"}, {"order": None},
+    {"order": 3, "limit": 2.5}, {"order": 3, "limit": True},
+    {"order": 3, "limit": False}, {"order": 3, "limit": 0.0},
+])
+def test_order_and_limit_must_be_ints(fields):
+    # a float order got as far as the generator's cell list, a float
+    # limit as far as islice, and a bool limit read as 0 or 1; bools are
+    # refused as table entries are
+    with pytest.raises(TypeError):
+        EnumerationOptions(**fields)
+
+
 # -- canonical forms -----------------------------------------------------------
 
 

@@ -84,6 +84,16 @@ def test_violation_report_is_capped():
     assert info.value.truncated
 
 
+@pytest.mark.parametrize("max_violations", [0, -3])
+def test_violation_cap_below_one_is_refused(max_violations):
+    # a cap with no room records no violation, so an invalid table would
+    # pass as a semigroup; the cap is refused before any check, on a
+    # valid table as on an invalid one
+    for rows in ([[0, 1], [1, 1]], [[0, 0], [0, 0]]):
+        with pytest.raises(ValueError, match="max_violations"):
+            validate(CayleyTable.from_rows(rows), max_violations=max_violations)
+
+
 # valid tables of every order from 1 to 8, the seeds of the corrupted ones
 VALIDATION_BASES = (
     "null:1", "null:2", "zg:3", "ex3.5", "ex3.8", "powerset:2", "ex3.4",

@@ -2,6 +2,8 @@
 
 import functools
 import itertools
+import math
+from dataclasses import replace
 
 import pytest
 
@@ -15,6 +17,7 @@ from zdg import (
     check_bridge,
     check_chromatic,
     check_cut_structures,
+    check_gamma_facts,
     check_median_center_ideals,
     check_nilpotent_subgraph,
     check_rpartite,
@@ -37,10 +40,15 @@ from oracles import (
     naive_center_clause,
     naive_clique5_clause,
     naive_colouring_clauses,
+    naive_complete_bipartite_clause,
     naive_cut_vertex_clause,
     naive_edge_cutset_clause,
+    naive_gamma_facts_clause,
+    naive_girth_3_clause,
+    naive_girth_4_clause,
     naive_maximal_annihilator_clause,
     naive_median_clause,
+    naive_nilpotent_subgraph_clause,
     naive_pairwise_products_clause,
     naive_parts_ideals_primes_clause,
     naive_vertex_cutset_clause,
@@ -353,6 +361,90 @@ def test_structure_clauses_match_their_row_oracles():
             assert (c.applicable, c.holds) == oracle(s.table.entries), (theorem_id, s.table)
             applied[theorem_id] += c.applicable
     assert applied == STRUCTURE_CLAUSE_APPLIED
+
+
+# the clauses whose conclusion is a shape of Γ: a diameter, a girth or
+# a partition
+SHAPE_CLAUSES = {
+    "prop-2.1-nilpotent-subgraph": naive_nilpotent_subgraph_clause,
+    "prop-2.9b-girth-3": naive_girth_3_clause,
+    "cor-3.3-girth-4": naive_girth_4_clause,
+    "rem-3.2b-complete-bipartite": naive_complete_bipartite_clause,
+    "dms-gamma-facts": naive_gamma_facts_clause,
+}
+
+# how often each applies over ideal_clause_corpus(); every one holds
+SHAPE_CLAUSE_APPLIED = {
+    "prop-2.1-nilpotent-subgraph": 261,
+    "prop-2.9b-girth-3": 28,
+    "cor-3.3-girth-4": 7,
+    "rem-3.2b-complete-bipartite": 49,
+    "dms-gamma-facts": 322,
+}
+
+
+def test_shape_clauses_match_their_row_oracles():
+    applied = dict.fromkeys(SHAPE_CLAUSES, 0)
+    for s in ideal_clause_corpus():
+        checks = flat(run_all(s)) + list(check_gamma_facts(s))
+        for theorem_id, oracle in SHAPE_CLAUSES.items():
+            c = clause(checks, theorem_id)
+            assert (c.applicable, c.holds) == oracle(s.table.entries), (theorem_id, s.table)
+            applied[theorem_id] += c.applicable
+    assert applied == SHAPE_CLAUSE_APPLIED
+
+
+# every table satisfies the shape clauses, so only a false diameter,
+# girth or partition handed to checker and oracle alike shows each
+# conclusion evaluated. null:3 has Γ = K2, its two vertices nilpotent.
+@pytest.mark.parametrize("diameter, nilpotent_holds, facts_hold", [
+    (2, True, True), (3, False, True), (4, False, False),
+])
+def test_shape_conclusions_read_the_diameter(diameter, nilpotent_holds, facts_hold, monkeypatch):
+    s = builtin_example("null:3")
+    metrics = theorems.metrics
+    monkeypatch.setattr(theorems, "metrics", lambda g: replace(metrics(g), diameter=diameter))
+    rows = s.table.entries
+    c = clause(check_nilpotent_subgraph(s), "prop-2.1-nilpotent-subgraph")
+    assert (c.applicable, c.holds) == naive_nilpotent_subgraph_clause(rows, diameter) == (
+        True, nilpotent_holds)
+    (c,) = check_gamma_facts(s)
+    assert (c.applicable, c.holds) == naive_gamma_facts_clause(rows, diameter=diameter) == (
+        True, facts_hold)
+
+
+# powerset:3 has three associated primes, the two orthogonal groups two
+# of three elements each, meeting in 0
+@pytest.mark.parametrize("girth", [3, 4, 5, math.inf])
+def test_shape_conclusions_read_the_girth(girth, monkeypatch):
+    monkeypatch.setattr(theorems, "girth", lambda g: girth)
+    s = builtin_example("powerset:3")
+    rows = s.table.entries
+    c = clause(check_ass_properties(s), "prop-2.9b-girth-3")
+    assert (c.applicable, c.holds) == naive_girth_3_clause(rows, girth) == (True, girth == 3)
+    (c,) = check_gamma_facts(s)
+    assert (c.applicable, c.holds) == naive_gamma_facts_clause(rows, girth=girth) == (
+        True, girth in (3, 4, math.inf))
+    s = two_orthogonal_groups()
+    rows = s.table.entries
+    c = clause(check_rpartite(s), "cor-3.3-girth-4")
+    assert (c.applicable, c.holds) == naive_girth_4_clause(rows, girth) == (True, girth == 4)
+
+
+@pytest.mark.parametrize("parts, holds", [
+    ((frozenset({1, 2}), frozenset({3, 4})), True),
+    ((frozenset({1, 2, 3, 4}),), False),
+    ((frozenset({1}), frozenset({2}), frozenset({3, 4})), False),
+    ((), False),  # Γ not complete multipartite
+])
+def test_complete_bipartite_conclusion_reads_the_partition(parts, holds, monkeypatch):
+    # the two orthogonal groups are reduced with Γ = K2,2 on {1, 2} and
+    # {3, 4}; the checker reads an empty partition as None
+    s = two_orthogonal_groups()
+    monkeypatch.setattr(theorems, "complete_multipartite_partition", lambda g: parts)
+    c = clause(check_rpartite(s), "rem-3.2b-complete-bipartite")
+    assert (c.applicable, c.holds) == naive_complete_bipartite_clause(
+        s.table.entries, parts or None) == (True, holds)
 
 
 def test_clique5_clause_reads_its_conclusion_from_gamma(monkeypatch):
