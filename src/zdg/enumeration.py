@@ -16,18 +16,25 @@ with x <= z only: the remaining instances follow by swapping factors.
 Up to isomorphism, a table is kept only when it is canonical: no
 relabeling fixing 0 makes it lex-smaller (it equals its canonical_form).
 The search tests this as it goes, in the manner of Read's orderly
-generation, with canonical_form's own search (_least) stopped at the
-first relabeling that beats the table; raw enumeration runs no test. A
-cell not yet filled holds the value n:
+generation (Read 1978), with canonical_form's own search (_least)
+stopped at the first relabeling that beats the table; raw enumeration
+runs no test. A cell not yet filled holds the value n:
 
-- Once row r is complete, for 1 <= r <= n-3, the branch is dropped when
-  some relabeling fixing 0 makes rows 1..r smaller before it reads an
-  unfilled cell. Every cell it read is then fixed in every completion,
-  so every completion is beaten too. A relabeling that reads an
-  unfilled cell while still tied is given up, not counted as beating.
-  At r = n-2 the test costs more than it saves.
-- A complete associative table is dropped when any relabeling fixing 0
-  makes it smaller; only the tables kept become CayleyTables.
+- After every filled cell (i, j), the branch is dropped when some
+  relabeling fixing 0 makes the row-major prefix of rows 1..n-1 through
+  (i, j) smaller. That prefix is all filled, and every cell the beating
+  relabeling read is fixed in every completion, so every completion is
+  beaten too.
+- A relabeling still tied when it reads an unfilled cell is suspended,
+  not dropped: its state waits on the fill rank of that cell. At a
+  branch only the members that read one wait; the others go on at once.
+- Each test resumes the previous one (_resume): it walks on, from
+  copies, only the states that completed the previous prefix and those
+  waiting on the cell just filled, and carries every other state down.
+  So no test walks again what the test before it passed.
+- The last cell is tested once _assoc_full has passed the table, and
+  that test compares the whole of it; only the tables kept become
+  CayleyTables.
 
 Each cell takes the values of its domain, which up to iso must hold
 every canonical table. require_reduced drops 0 from the diagonal,
@@ -54,8 +61,8 @@ audit runs the up-to-isomorphism stream for every corpus. The paper's
 clauses are stated up to isomorphism, so a raw audit counts each class
 once for each of the (n-1)!/|Aut| raw tables in its orbit. |Aut| is the
 number of relabelings _least completes when a canonical table is its own
-bound (see _least): the leaf test counts it, and each kept table
-carries it.
+bound (see _least): the test of the last cell counts them, and each
+kept table carries it.
 """
 
 from __future__ import annotations
@@ -173,32 +180,51 @@ class _Beaten(Exception):
     """A candidate cell went below the bound."""
 
 
-def _least(t, n, cells, bound=None):
+def _unsplit(n):
+    """The record a search starts from: cell 0, the identity labelling,
+    and labels 1..n-1 in one block (see _least)."""
+    identity = list(range(n))
+    return 0, identity, identity[:], [0] + [1] * (n - 1), [1] + [n] * (n - 1)
+
+
+def _least(t, n, cells, bound=None, starts=None):
     """Least cell values over the relabelings fixing 0.
 
     t is the flat n*n table and cells the (row, column) label pairs to
-    compare, in order. Returns the lex-least list of cell values and the
-    number of relabelings completed on it. With a bound, it returns None
-    at the first candidate cell below the bound (the bound is beaten),
-    and the bound when no relabeling goes below it. There t may be
-    partial: the value n marks an unfilled cell, and a relabeling still
-    tied with the bound stops, not beaten, at the first unfilled cell it
-    reads. See canonical_form for the search.
+    compare, in order, whole rows at a time. Returns the least values of
+    the cells, as a flat n*n table with 0 elsewhere, and the number of
+    relabelings completed on it. See canonical_form for the search.
 
     The search drops a relabeling only where it makes some cell larger
     than another relabeling does, and gives each branch its own element
     for the label, so when the cells cover the whole table it completes
     every relabeling that gives the least table, each once. The count is
     then |Aut| of the least table.
+
+    With a bound, a flat n*n table (t itself for a canonicity test), the
+    search is a resumable test of whether the bound is least. It returns
+    None at the first candidate cell below the bound (the bound is
+    beaten). Otherwise it returns the records that completed the cells
+    and, for each record that stopped, the flat index of the cell of t
+    it waits on. A record is a cell index and a state (sigma, pos, cs,
+    ce) to walk on from there, tied with the bound; starts are the
+    records to walk, each from a copy (default: _unsplit). Here t may be
+    partial: the value n marks an unfilled cell. A relabeling that reads
+    one stops there, not beaten, and at a branch only the members that
+    read one stop; each stops with its element moved to the front, so
+    that the record walks on as the branch would have.
     """
     ncells = len(cells)
-    cand = [0] * ncells
+    cand = [0] * (n * n)
     best = bound
     ties = 0
+    done = []
+    stopped = []
 
     # sigma[label] = element and pos[element] = label; labels cs[i] up to
     # ce[i] (exclusive) form the block holding label i. A state belongs to
-    # one call of walk, which may change it in place.
+    # one call of walk, which may change it in place, and is not changed
+    # once that call has kept it as a record.
     def walk(c, tied, sigma, pos, cs, ce):
         """Fill cells from c on; True when a completion tied or replaced best."""
         nonlocal best, ties
@@ -211,17 +237,19 @@ def _least(t, n, cells, bound=None):
             if e - b == 1:
                 x = t[ra + sigma[b]]
                 if x == n:
+                    stopped.append((ra + sigma[b], (c, sigma, pos, cs, ce)))
                     return False
                 v = pos[x]
                 if ce[v] - cs[v] > 1:
                     v = _to_front(sigma, pos, cs, ce, x)
-                if tied and v != best[c]:
-                    if v > best[c]:
+                at = a * n + b
+                if tied and v != best[at]:
+                    if v > best[at]:
                         return False
                     if bound is not None:
                         raise _Beaten
                     tied = False
-                cand[c] = v
+                cand[at] = v
                 c += 1
             else:
                 # columns b..e-1 form one block: sort it by product label
@@ -243,20 +271,22 @@ def _least(t, n, cells, bound=None):
                         first = i
                     cs[i] = first
                 ce[first:e] = [e] * (e - first)
-                for v in values:
-                    if tied and v != best[c]:
-                        if v > best[c]:
+                for at, v in enumerate(values, a * n + b):
+                    if tied and v != best[at]:
+                        if v > best[at]:
                             return False
                         if bound is not None:
                             raise _Beaten
                         tied = False
-                    cand[c] = v
-                    c += 1
+                    cand[at] = v
+                c += e - b
         if tied:
             ties += 1
         else:
             best = cand[:]
             ties = 1
+        if bound is not None:
+            done.append((c, sigma, pos, cs, ce))
         return True
 
     def branch(c, tied, sigma, pos, cs, ce, lab):
@@ -266,9 +296,13 @@ def _least(t, n, cells, bound=None):
         vmin = n
         for i in range(lab, ce[lab]):
             y = sigma[i]
-            x = t[(y if a == lab else sigma[a]) * n + (y if b == lab else sigma[b])]
+            at = (y if a == lab else sigma[a]) * n + (y if b == lab else sigma[b])
+            x = t[at]
             # the label x would get if y took label lab
             if x == n:
+                state = sigma[:], pos[:], cs[:], ce[:]
+                _to_front(*state, y)
+                stopped.append((at, (c, *state)))
                 continue
             if x == y:
                 v = lab
@@ -281,7 +315,7 @@ def _least(t, n, cells, bound=None):
                 group = [y]
             elif v == vmin:
                 group.append(y)
-        if not group or tied and vmin > best[c]:
+        if not group or tied and vmin > best[a * n + b]:
             return False
         updated = False
         for y in group:
@@ -294,27 +328,42 @@ def _least(t, n, cells, bound=None):
                 tied = updated = True
         return updated
 
-    identity = list(range(n))
     try:
-        # one block: labels 1..n-1
-        walk(0, bound is not None, identity, identity[:],
-             [0] + [1] * (n - 1), [1] + [n] * (n - 1))
+        for c, sigma, pos, cs, ce in starts or [_unsplit(n)]:
+            walk(c, bound is not None, sigma[:], pos[:], cs[:], ce[:])
     except _Beaten:
         return None
-    return best, ties
+    return (done, stopped) if bound is not None else (best, ties)
 
 
-def _rows(n, r):
-    """The cells of rows 1..r, columns 1..n-1."""
-    return [(a, b) for a in range(1, r + 1) for b in range(1, n)]
+def _resume(t, n, cells, rank, test, k):
+    """The canonicity test once cell k of the fill order is filled.
 
-
-def _ties(n, t, cells):
-    """None when some relabeling fixing 0 makes the cells smaller, else the
-    number of relabelings _least completes tied with them: |Aut| when
-    the cells are the whole of a complete table."""
-    least = _least(t, n, cells, [t[a * n + b] for a, b in cells])
-    return None if least is None else least[1]
+    cells are the compared cells, the row-major prefix of rows 1..n-1
+    through cell k, and t is the bound (see _least). test is the test
+    before cell k: (done, waiting), the records that completed the
+    previous prefix and, by fill rank, a chain (record, rest) of the
+    records waiting on each cell. Only these can move, so the done
+    records and those waiting on cell k are walked on, and every other
+    chain is carried down as it is. Returns None when beaten, else the
+    test after cell k. After the last cell the cells are the whole
+    table, and the done records are its |Aut| automorphisms.
+    """
+    done, waiting = test
+    starts = list(done)
+    chain = waiting[k]
+    while chain:
+        record, chain = chain
+        starts.append(record)
+    found = _least(t, n, cells, t, starts)
+    if found is None:
+        return None
+    done, stopped = found
+    if stopped:
+        waiting = list(waiting)
+        for at, record in stopped:
+            waiting[rank[at]] = record, waiting[rank[at]]
+    return done, waiting
 
 
 def canonical_form(s) -> CayleyTable:
@@ -358,24 +407,9 @@ def canonical_form(s) -> CayleyTable:
     t = [v for row in table.entries for v in row]
     lo = 0 if any(t[:n]) or any(t[i * n] for i in range(n)) else 1
     cells = [(a, b) for a in range(lo, n) for b in range(lo, n)]
-    flat = [0] * (n * n)
-    for (a, b), v in zip(cells, _least(t, n, cells)[0]):
-        flat[a * n + b] = v
+    flat = _least(t, n, cells)[0]
     entries = tuple(tuple(flat[r * n:(r + 1) * n]) for r in range(n))
     return CayleyTable(order=n, entries=entries, names=None)
-
-
-def _iso_tests(n, cells):
-    """Per-cell canonicity tests, each the cells _ties compares: rows
-    1..r once row r is complete, for 1 <= r <= n-3, and the whole table
-    at the leaf. Rows 1..r read only filled cells under a relabeling that
-    maps labels 1..r into 1..r; any other relabeling may stop early at
-    an unfilled one."""
-    tests = [None] * len(cells) + [_rows(n, n - 1)]
-    for k, (i, j) in enumerate(cells):
-        if j == n - 1 and i <= n - 3:
-            tests[k] = _rows(n, i)
-    return tests
 
 
 def _units(opts: EnumerationOptions):
@@ -394,32 +428,48 @@ def _generate(opts: EnumerationOptions, domains):
     """The tables for opts whose free cells take values from domains, as
     (CayleyTable, |Aut|) pairs; |Aut| is 0 on a raw run, which tests nothing.
 
-    tests[k] is None or the cells of the canonicity test run once cell k
-    of the flat table t is filled; tests[len(cells)] is the leaf's. A cell
-    of t not yet filled holds n.
+    Up to iso, _resume tests canonicity after every filled cell, and at
+    the leaf after _assoc_full. A cell of the flat table t not yet filled
+    holds n.
     """
     n = opts.order
     cells = _cells(n)
     rank, watch = _prepare(n, cells)
-    tests = _iso_tests(n, cells) if opts.up_to_iso else [None] * (len(cells) + 1)
     t = [n if i and j else 0 for i in range(n) for j in range(n)]
+    last = len(cells) - 1
+    # the test after cell (i, j) compares the row-major prefix of rows
+    # 1..n-1 through (i, j), all of it filled
+    compared = [(a, b) for a in range(1, n) for b in range(1, n)]
+    prefixes = [compared[:(i - 1) * (n - 1) + j] for i, j in cells]
 
-    def descend(k):
-        """Complete tables from cell k on."""
-        test = tests[k]
+    def descend(k, before):
+        """Complete tables from cell k on; before is the canonicity test
+        before cell k, None on a raw run."""
         if k == len(cells):
-            if _assoc_full(n, t) and (aut := _ties(n, t, test) if test else 0) is not None:
-                yield CayleyTable(order=n, entries=[t[r * n:(r + 1) * n] for r in range(n)]), aut
+            if not _assoc_full(n, t):
+                return
+            aut = 0
+            if before is not None:
+                # the last cell is tested here, once _assoc_full has passed it
+                after = _resume(t, n, prefixes[last], rank, before, last)
+                if after is None:
+                    return
+                aut = len(after[0])
+            yield CayleyTable(order=n, entries=[t[r * n:(r + 1) * n] for r in range(n)]), aut
             return
         i, j = cells[k]
         ij, ji = i * n + j, j * n + i
         for v in domains[k]:
             t[ij] = t[ji] = v
-            if _watch_ok(n, t, rank, watch[k], k) and (test is None or _ties(n, t, test) is not None):
-                yield from descend(k + 1)
+            if not _watch_ok(n, t, rank, watch[k], k):
+                continue
+            if before is None or k == last:
+                yield from descend(k + 1, before)
+            elif (after := _resume(t, n, prefixes[k], rank, before, k)) is not None:
+                yield from descend(k + 1, after)
         t[ij] = t[ji] = n
 
-    yield from descend(0)
+    yield from descend(0, ([_unsplit(n)], [None] * len(cells)) if opts.up_to_iso else None)
 
 
 def _unit_tables(opts: EnumerationOptions, domains):

@@ -111,9 +111,10 @@ def check_nilpotent_subgraph(s) -> tuple[Verdict, ...]:
             lambda: {"nilpotents": []}, "no nonzero nilpotent elements",
         ),)
     sub = gamma(s).induced(nil)
+    # a disconnected graph has diameter inf; connected is for the witness
     connected, diameter = sub.is_connected(), metrics(sub).diameter
     return (_v(
-        "prop-2.1-nilpotent-subgraph", True, connected and diameter <= 2,
+        "prop-2.1-nilpotent-subgraph", True, diameter <= 2,
         lambda: {"nilpotents": list(nil), "connected": connected, "diameter": diameter},
         "induced subgraph on nonzero nilpotents is connected with diameter <= 2",
     ),)
@@ -621,10 +622,11 @@ def check_gamma_facts(s) -> tuple[Verdict, ...]:
     g = gamma(s)
     if g.n == 0:
         return (_v("dms-gamma-facts", False, True, notes="graph has no vertices"),)
+    # a disconnected graph has diameter inf, so diameter <= 3 reads connectedness
     diameter, gi = metrics(g).diameter, girth(g)
     return (_v(
         "dms-gamma-facts", True,
-        g.is_connected() and diameter <= 3 and (gi == 3 or gi == 4 or gi == math.inf),
+        diameter <= 3 and (gi == 3 or gi == 4 or gi == math.inf),
         lambda: {"vertices": g.n, "diameter": diameter, "girth": gi},
         "connected, diameter <= 3, girth 3, 4 or infinite",
     ),)

@@ -364,17 +364,17 @@ def brute_filtered(opts):
 
 @pytest.fixture
 def canonicity_tests(monkeypatch):
-    """Canonicity tests run, by last row read and whether a smaller
-    relabeling was found."""
+    """Canonicity tests run, by the row of the cell just filled and
+    whether a smaller relabeling was found."""
     runs = collections.Counter()
-    test = enumeration._ties
+    test = enumeration._resume
 
-    def counted(n, t, cells):
-        ties = test(n, t, cells)
-        runs[cells[-1][0], ties is None] += 1
-        return ties
+    def counted(t, n, cells, rank, before, k):
+        after = test(t, n, cells, rank, before, k)
+        runs[cells[-1][0], after is None] += 1
+        return after
 
-    monkeypatch.setattr(enumeration, "_ties", counted)
+    monkeypatch.setattr(enumeration, "_resume", counted)
     return runs
 
 
@@ -386,14 +386,15 @@ def test_up_to_iso_stream_is_the_brute_filtered_raw_stream(
     opts = EnumerationOptions(order, up_to_iso=True, require_reduced=reduced)
     assert [t.entries for t in tables(opts)] == brute_filtered(opts)
     if order == 5:
-        # the row-1 and rows-1..2 prefix tests dropped branches
+        # the tests after cells of rows 1 and 2 dropped branches
         assert canonicity_tests[1, True] > 0
         assert canonicity_tests[2, True] > 0
     if order == 5 and not reduced:
         # prefix tests over labels 1..r alone, from r = 2, ran 7,385 tests;
-        # 1·1 free in 0..4 with every square free, 2,372: now 474 prefix
-        # tests and 745 at the leaf
-        assert sum(canonicity_tests.values()) == 1219
+        # 1·1 free in 0..4 with every square free, 2,372; tests at the ends
+        # of rows 1 and 2 and at the leaf, 1,219 (474 + 745): now a test
+        # after every filled cell, 389 of them at the leaf
+        assert sum(canonicity_tests.values()) == 1769
 
 
 @pytest.mark.parametrize("reduced", (False, True))
@@ -415,25 +416,86 @@ def partial_table(n, cells):
     return t
 
 
+def compared(n, k):
+    """The cells the canonicity test after cell k of the fill order
+    compares: rows 1..n-1 in row-major order, through that cell."""
+    whole = [(a, b) for a in range(1, n) for b in range(1, n)]
+    return whole[:whole.index(enumeration._cells(n)[k]) + 1]
+
+
+def fresh_test(t, n, k):
+    """The test after cell k started from the identity partition on the
+    partial table t: None when beaten."""
+    return enumeration._least(t, n, compared(n, k), t)
+
+
+def fill_path(n, values, last):
+    """Fill cells 0..last of the fill order from values, a flat n*n
+    table, one at a time, and after each run the test resumed from the
+    one before. Yields (k, t, test): t is the partial table, filled on in
+    place, and test is None when beaten, where the path stops."""
+    cells = enumeration._cells(n)
+    rank, _ = enumeration._prepare(n, cells)
+    t = partial_table(n, {})
+    test = [enumeration._unsplit(n)], [None] * len(cells)
+    for k, (i, j) in enumerate(cells[:last + 1]):
+        t[i * n + j] = t[j * n + i] = values[i * n + j]
+        test = enumeration._resume(t, n, compared(n, k), rank, test, k)
+        yield k, t, test
+        if test is None:
+            return
+
+
 def test_prefix_test_stops_at_an_unfilled_cell():
-    # rows 1..2 are (1, 1, 1, 1) and (1, 3, 3, 2). Under some completion
-    # only sigma = (0, 1, 3, 2, 4) beats them: it keeps row 1, and its
-    # row 2 reads the unfilled 3*3 at cell (2, 2) before it gives 2 < 3
-    # at cell (2, 3)
+    # rows 1..2 are (1, 1, 1, 1) and (1, 3, 3, 2), cells 0..6 of the fill
+    # order. Under some completion only sigma = (0, 1, 3, 2, 4) beats them:
+    # it keeps row 1, and its row 2 reads the unfilled 3*3 at cell (2, 2)
+    # before it gives 2 < 3 at cell (2, 3)
     rows = {(1, 1): 1, (1, 2): 1, (1, 3): 1, (1, 4): 1,
             (2, 2): 3, (2, 3): 3, (2, 4): 2}
-    cells = enumeration._rows(5, 2)
-    assert enumeration._ties(5, partial_table(5, rows), cells) is not None
+    path = fill_path(5, partial_table(5, {**rows, (3, 3): 2}), 7)
+    for k, t, test in path:
+        if k == 6:
+            # 3*3 unfilled: not beaten, and records wait on 3*3, cell 7
+            assert test is not None and fresh_test(t, 5, 6) is not None
+            done, waiting = test
+            assert waiting[7]
     # 3*3 = 2 makes cell (2, 2) a tie, so sigma beats the filled table
-    assert enumeration._ties(5, partial_table(5, {**rows, (3, 3): 2}), cells) is None
+    assert k == 7 and test is None
+    assert fresh_test(t, 5, 6) is None
+    # the beat is among the records that waited on 3*3, not the done ones
+    rank, _ = enumeration._prepare(5, enumeration._cells(5))
+    assert enumeration._resume(t, 5, compared(5, 7), rank, ([], waiting), 7) is None
+    nothing_waiting = [None] * len(waiting)
+    assert enumeration._resume(t, 5, compared(5, 7), rank, (done, nothing_waiting), 7) is not None
 
 
 def test_prefix_test_moves_labels_past_the_prefix():
     # row 1 is (0, 1, 0): no relabeling of label 1 alone changes it, and
     # sigma(1) in {2, 3} reads an unfilled square; swapping labels 2 and 3
-    # gives (0, 0, 1)
-    t = partial_table(4, {(1, 1): 0, (1, 2): 1, (1, 3): 0})
-    assert enumeration._ties(4, t, enumeration._rows(4, 1)) is None
+    # gives (0, 0, 1) once 1*3 = 0 is filled, cell 2 of the fill order
+    path = fill_path(4, partial_table(4, {(1, 1): 0, (1, 2): 1, (1, 3): 0}), 2)
+    verdicts = [(test is None, fresh_test(t, 4, k) is None) for k, t, test in path]
+    assert verdicts == [(False, False), (False, False), (True, True)]
+
+
+@pytest.mark.parametrize("order", (3, 4, 5))
+def test_resumed_tests_agree_with_fresh_ones_along_every_fill_path(order):
+    # every raw table filled cell by cell in the generator's order: the
+    # test resumed from the one before gives the verdict of a test started
+    # from the identity on the same partial table, and the tables that no
+    # test beats, one per class, complete their |Aut| relabelings
+    n = order
+    last = len(enumeration._cells(n)) - 1
+    kept = 0
+    for table in tables(EnumerationOptions(n)):
+        values = [v for row in table.entries for v in row]
+        for k, t, test in fill_path(n, values, last):
+            assert (test is None) == (fresh_test(t, n, k) is None), (table, k)
+        if test is not None:
+            kept += 1
+            assert len(test[0]) == automorphism_count(table.entries), table
+    assert kept == ISO_COUNTS[n]
 
 
 # -- audit ----------------------------------------------------------------------

@@ -361,3 +361,16 @@ def test_generator_reads_only_order_and_up_to_iso():
         if isinstance(name, str) and name in fields - GENERATOR_FIELDS
     ]
     assert found == []
+
+
+def test_enumeration_has_one_walker():
+    # canonical_form and the resumable canonicity tests share one search;
+    # a bounded or resumed walk is a mode of _least, not a second walker
+    path = PACKAGE / "enumeration.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    defined = [
+        node.name for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+    ]
+    assert defined.count("walk") == 1
+    assert defined.count("branch") == 1
