@@ -28,10 +28,15 @@ runs no test. A cell not yet filled holds the value n:
 - A relabeling still tied when it reads an unfilled cell is suspended,
   not dropped: its state waits on the fill rank of that cell. At a
   branch only the members that read one wait; the others go on at once.
-- Each test resumes the previous one (_resume): it walks on, from
-  copies, only the states that completed the previous prefix and those
-  waiting on the cell just filled, and carries every other state down.
-  So no test walks again what the test before it passed.
+- Each test resumes the previous one (_resume): it walks on only the
+  states that completed the previous prefix and those waiting on the
+  cell just filled, and carries every other state down. So no test
+  walks again what the test before it passed.
+- A state whose labels are all given out (a permutation record) cannot
+  branch, so _resume tests it by lookup, cell by cell, with no copy; only
+  states with a block of two or more labels left (partition records) go
+  through _least, from copies. The identity ties every cell, so it is
+  carried without a lookup; it is one of the |Aut| records at the leaf.
 - The last cell is tested once _assoc_full has passed the table, and
   that test compares the whole of it; only the tables kept become
   CayleyTables.
@@ -60,9 +65,9 @@ Graph and every answer it derives.
 audit runs the up-to-isomorphism stream for every corpus. The paper's
 clauses are stated up to isomorphism, so a raw audit counts each class
 once for each of the (n-1)!/|Aut| raw tables in its orbit. |Aut| is the
-number of relabelings _least completes when a canonical table is its own
-bound (see _least): the test of the last cell counts them, and each
-kept table carries it.
+number of relabelings that tie the whole of a canonical table, its own
+bound (see _least): the done records of the test of the last cell, and
+each kept table carries it.
 """
 
 from __future__ import annotations
@@ -213,6 +218,11 @@ def _least(t, n, cells, bound=None, starts=None):
     one stops there, not beaten, and at a branch only the members that
     read one stop; each stops with its element moved to the front, so
     that the record walks on as the branch would have.
+
+    _resume walks a record here only while its partition has a block of
+    two or more labels (a partition record); it looks up the cells of a
+    record whose labels are all given out (a permutation record) itself,
+    and never looks up the identity.
     """
     ncells = len(cells)
     cand = [0] * (n * n)
@@ -348,22 +358,75 @@ def _resume(t, n, cells, rank, test, k):
     chain is carried down as it is. Returns None when beaten, else the
     test after cell k. After the last cell the cells are the whole
     table, and the done records are its |Aut| automorphisms.
+
+    A record comes in one of two kinds:
+
+    - A partition record (c, sigma, pos, cs, ce) still has a block of two
+      or more labels; _least walks it on from cell c.
+    - A permutation record (c, sigma, pos) has every label in a block of
+      its own, so each cell has one value and nothing can branch. It is
+      tested here by lookup, without copies: cell (a, b) has the label
+      pos[t[sigma[a]*n + sigma[b]]], which beats the bound when lower and
+      drops the record when higher, and an unfilled cell makes the record
+      wait on its fill rank. The identity ties every cell, so its record
+      has c = None and is carried without a lookup; it still counts once
+      in |Aut|.
+
+    _least is called only when some record to walk is a partition record.
+    Records that come out of it with a discrete partition become
+    permutation records.
     """
     done, waiting = test
-    starts = list(done)
+    records = list(done)
     chain = waiting[k]
     while chain:
         record, chain = chain
-        starts.append(record)
-    found = _least(t, n, cells, t, starts)
-    if found is None:
-        return None
-    done, stopped = found
+        records.append(record)
+    ncells = len(cells)
+    kept = []
+    stopped = []
+    starts = []
+    for record in records:
+        if len(record) == 5:
+            starts.append(record)
+            continue
+        c, sigma, pos = record
+        if c is None:
+            kept.append(record)
+            continue
+        while c < ncells:
+            a, b = cells[c]
+            at = sigma[a] * n + sigma[b]
+            x = t[at]
+            if x == n:
+                stopped.append((at, (c, sigma, pos)))
+                break
+            v, w = pos[x], t[a * n + b]
+            if v != w:
+                if v < w:
+                    return None
+                break
+            c += 1
+        else:
+            kept.append((c, sigma, pos))
+    if starts:
+        found = _least(t, n, cells, t, starts)
+        if found is None:
+            return None
+        identity = list(range(n))
+        ends = identity[1:] + [n]  # ce of a discrete partition
+        for c, sigma, pos, cs, ce in found[0]:
+            if ce != ends:
+                kept.append((c, sigma, pos, cs, ce))
+            else:
+                kept.append((None if sigma == identity else c, sigma, pos))
+        for at, (c, sigma, pos, cs, ce) in found[1]:
+            stopped.append((at, (c, sigma, pos) if ce == ends else (c, sigma, pos, cs, ce)))
     if stopped:
         waiting = list(waiting)
         for at, record in stopped:
             waiting[rank[at]] = record, waiting[rank[at]]
-    return done, waiting
+    return kept, waiting
 
 
 def canonical_form(s) -> CayleyTable:

@@ -1,6 +1,7 @@
 """Exhaustive enumeration, canonical forms, audits and searches."""
 
 import collections
+import copy
 import hashlib
 import itertools
 import math
@@ -378,10 +379,26 @@ def canonicity_tests(monkeypatch):
     return runs
 
 
+@pytest.fixture
+def walked_tests(monkeypatch):
+    """Calls of the partition walker _least made by canonicity tests,
+    which pass a bound; canonical_form passes none."""
+    calls = []
+    least = enumeration._least
+
+    def counted(t, n, cells, bound=None, starts=None):
+        if bound is not None:
+            calls.append(cells[-1])
+        return least(t, n, cells, bound, starts)
+
+    monkeypatch.setattr(enumeration, "_least", counted)
+    return calls
+
+
 @pytest.mark.parametrize("reduced", (False, True))
 @pytest.mark.parametrize("order", (2, 3, 4, 5))
 def test_up_to_iso_stream_is_the_brute_filtered_raw_stream(
-    order, reduced, canonicity_tests
+    order, reduced, canonicity_tests, walked_tests
 ):
     opts = EnumerationOptions(order, up_to_iso=True, require_reduced=reduced)
     assert [t.entries for t in tables(opts)] == brute_filtered(opts)
@@ -395,6 +412,9 @@ def test_up_to_iso_stream_is_the_brute_filtered_raw_stream(
         # of rows 1 and 2 and at the leaf, 1,219 (474 + 745): now a test
         # after every filled cell, 389 of them at the leaf
         assert sum(canonicity_tests.values()) == 1769
+        # a test whose records are all permutations looks them up and
+        # calls no walker: 744 of the 1,769 tests walk a partition
+        assert len(walked_tests) == 744
 
 
 @pytest.mark.parametrize("reduced", (False, True))
@@ -477,6 +497,91 @@ def test_prefix_test_moves_labels_past_the_prefix():
     path = fill_path(4, partial_table(4, {(1, 1): 0, (1, 2): 1, (1, 3): 0}), 2)
     verdicts = [(test is None, fresh_test(t, 4, k) is None) for k, t, test in path]
     assert verdicts == [(False, False), (False, False), (True, True)]
+
+
+def permutation_record(c, *images):
+    """The permutation record that walks on from compared cell c with
+    sigma = (0, *images), as _resume keeps it: (c, sigma, pos)."""
+    sigma = [0, *images]
+    pos = [0] * len(sigma)
+    for label, element in enumerate(sigma):
+        pos[element] = label
+    return c, sigma, pos
+
+
+def identity_record(n):
+    return None, list(range(n)), list(range(n))
+
+
+def nothing_waiting(n):
+    return [None] * len(enumeration._cells(n))
+
+
+def resume(t, n, test, k):
+    rank, _ = enumeration._prepare(n, enumeration._cells(n))
+    return enumeration._resume(t, n, compared(n, k), rank, test, k)
+
+
+def test_a_permutation_record_that_beats_the_bound_gives_none():
+    # row 1 is (1, 2, 1); swapping 2 and 3 reads 1*3 = 1 for cell (1, 2)
+    t = partial_table(4, {(1, 1): 1, (1, 2): 2, (1, 3): 1})
+    swap = permutation_record(0, 1, 3, 2)
+    assert resume(t, 4, ([identity_record(4), swap], nothing_waiting(4)), 2) is None
+
+
+def test_a_permutation_record_that_loses_is_dropped():
+    # row 1 is (1, 1, 2); the swap gives 1*3 = 2 the label 3 > 1 at (1, 2)
+    t = partial_table(4, {(1, 1): 1, (1, 2): 1, (1, 3): 2})
+    identity = identity_record(4)
+    swap = permutation_record(0, 1, 3, 2)
+    done, waiting = resume(t, 4, ([identity, swap], nothing_waiting(4)), 2)
+    assert done == [identity]
+    assert waiting == nothing_waiting(4)
+
+
+def test_a_permutation_record_that_reads_an_unfilled_cell_waits_on_its_rank():
+    # cells (1, 1) and (1, 2) are filled; the swap reads 1*3 for (1, 2),
+    # the unfilled cell 2 of the fill order, while tied at (1, 1)
+    t = partial_table(4, {(1, 1): 1, (1, 2): 1})
+    identity = identity_record(4)
+    swap = permutation_record(0, 1, 3, 2)
+    done, waiting = resume(t, 4, ([identity, swap], nothing_waiting(4)), 1)
+    assert done == [identity]
+    assert waiting == [None, None, (permutation_record(1, 1, 3, 2), None), None, None, None]
+    # once 1*3 is filled, the waiting record is looked up from cell (1, 2) on
+    t[1 * 4 + 3] = t[3 * 4 + 1] = 0
+    assert resume(t, 4, (done, waiting), 2) is None
+    t[1 * 4 + 3] = t[3 * 4 + 1] = 2
+    assert resume(t, 4, (done, waiting), 2)[0] == [identity]
+
+
+def test_resuming_a_test_changes_none_of_its_records():
+    # the siblings of a cell resume one test each: none may change it
+    t = partial_table(4, {(1, 1): 1, (1, 2): 1})
+    test = [identity_record(4), permutation_record(0, 1, 3, 2)], nothing_waiting(4)
+    test = resume(t, 4, test, 1)
+    before = copy.deepcopy(test)
+    for value in range(4):
+        t[1 * 4 + 3] = t[3 * 4 + 1] = value
+        resume(t, 4, test, 2)
+        assert test == before
+
+
+@pytest.mark.parametrize("name", ("null:4", "zg:4", "ex3.4", "powerset:2", "null:5"))
+def test_the_identity_is_carried_unwalked_and_counted_in_aut(name):
+    table = canonical_form(builtin_example(name))
+    n = table.order
+    values = [v for row in table.entries for v in row]
+    identities = []
+    for _, _, test in fill_path(n, values, len(enumeration._cells(n)) - 1):
+        done, _ = test
+        identities.append([record for record in done if record[0] is None])
+    # once split off, the one identity record is the same object at every
+    # later test: no lookup rebuilds it
+    first = next(k for k, found in enumerate(identities) if found)
+    assert all(len(found) == 1 and found[0] is identities[first][0] for found in identities[first:])
+    assert identities[-1][0][1] == list(range(n))
+    assert len(done) == automorphism_count(table.entries)
 
 
 @pytest.mark.parametrize("order", (3, 4, 5))
