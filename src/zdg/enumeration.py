@@ -35,11 +35,12 @@ runs no test. A cell not yet filled holds the value n:
 - A state whose labels are all given out (a permutation record) cannot
   branch, so _resume tests it by lookup, cell by cell, with no copy; only
   states with a block of two or more labels left (partition records) go
-  through _least, from copies. The identity ties every cell, so it is
-  carried without a lookup; it is one of the |Aut| records at the leaf.
-- The last cell is tested once _assoc_full has passed the table, and
-  that test compares the whole of it; only the tables kept become
-  CayleyTables.
+  through _least, from copies. The identity reads only filled cells and
+  ties each one, so it can never beat the table, lose or wait: _resume
+  drops it as it comes out of _least, and it is counted instead.
+- The last cell is tested like every other, and that test compares the
+  whole table. A leaf is kept when it passed and _assoc_full passes the
+  table; only the tables kept become CayleyTables.
 
 Each cell takes the values of its domain, which up to iso must hold
 every canonical table. require_reduced drops 0 from the diagonal,
@@ -67,7 +68,7 @@ clauses are stated up to isomorphism, so a raw audit counts each class
 once for each of the (n-1)!/|Aut| raw tables in its orbit. |Aut| is the
 number of relabelings that tie the whole of a canonical table, its own
 bound (see _least): the done records of the test of the last cell, and
-each kept table carries it.
+the identity. Each kept table carries it.
 """
 
 from __future__ import annotations
@@ -197,14 +198,13 @@ def _least(t, n, cells, bound=None, starts=None):
 
     t is the flat n*n table and cells the (row, column) label pairs to
     compare, in order, whole rows at a time. Returns the least values of
-    the cells, as a flat n*n table with 0 elsewhere, and the number of
-    relabelings completed on it. See canonical_form for the search.
+    the cells, as a flat n*n table with 0 elsewhere. See canonical_form
+    for the search.
 
     The search drops a relabeling only where it makes some cell larger
     than another relabeling does, and gives each branch its own element
     for the label, so when the cells cover the whole table it completes
-    every relabeling that gives the least table, each once. The count is
-    then |Aut| of the least table.
+    every relabeling that gives the least table, each once.
 
     With a bound, a flat n*n table (t itself for a canonicity test), the
     search is a resumable test of whether the bound is least. It returns
@@ -222,12 +222,11 @@ def _least(t, n, cells, bound=None, starts=None):
     _resume walks a record here only while its partition has a block of
     two or more labels (a partition record); it looks up the cells of a
     record whose labels are all given out (a permutation record) itself,
-    and never looks up the identity.
+    and drops the identity as it comes out of here.
     """
     ncells = len(cells)
     cand = [0] * (n * n)
     best = bound
-    ties = 0
     done = []
     stopped = []
 
@@ -237,7 +236,7 @@ def _least(t, n, cells, bound=None, starts=None):
     # once that call has kept it as a record.
     def walk(c, tied, sigma, pos, cs, ce):
         """Fill cells from c on; True when a completion tied or replaced best."""
-        nonlocal best, ties
+        nonlocal best
         while c < ncells:
             a, b = cells[c]
             if ce[a] - cs[a] > 1:
@@ -290,11 +289,8 @@ def _least(t, n, cells, bound=None, starts=None):
                         tied = False
                     cand[at] = v
                 c += e - b
-        if tied:
-            ties += 1
-        else:
+        if not tied:
             best = cand[:]
-            ties = 1
         if bound is not None:
             done.append((c, sigma, pos, cs, ce))
         return True
@@ -343,7 +339,7 @@ def _least(t, n, cells, bound=None, starts=None):
             walk(c, bound is not None, sigma[:], pos[:], cs[:], ce[:])
     except _Beaten:
         return None
-    return (done, stopped) if bound is not None else (best, ties)
+    return (done, stopped) if bound is not None else best
 
 
 def _resume(t, n, cells, rank, test, k):
@@ -357,7 +353,8 @@ def _resume(t, n, cells, rank, test, k):
     records and those waiting on cell k are walked on, and every other
     chain is carried down as it is. Returns None when beaten, else the
     test after cell k. After the last cell the cells are the whole
-    table, and the done records are its |Aut| automorphisms.
+    table, and the done records are its |Aut| - 1 automorphisms other
+    than the identity.
 
     A record comes in one of two kinds:
 
@@ -368,13 +365,13 @@ def _resume(t, n, cells, rank, test, k):
       tested here by lookup, without copies: cell (a, b) has the label
       pos[t[sigma[a]*n + sigma[b]]], which beats the bound when lower and
       drops the record when higher, and an unfilled cell makes the record
-      wait on its fill rank. The identity ties every cell, so its record
-      has c = None and is carried without a lookup; it still counts once
-      in |Aut|.
+      wait on its fill rank.
 
     _least is called only when some record to walk is a partition record.
     Records that come out of it with a discrete partition become
-    permutation records.
+    permutation records, except the identity, which is dropped: it reads
+    only filled cells and ties each one, so it can never beat the bound,
+    lose or wait.
     """
     done, waiting = test
     records = list(done)
@@ -391,9 +388,6 @@ def _resume(t, n, cells, rank, test, k):
             starts.append(record)
             continue
         c, sigma, pos = record
-        if c is None:
-            kept.append(record)
-            continue
         while c < ncells:
             a, b = cells[c]
             at = sigma[a] * n + sigma[b]
@@ -418,8 +412,8 @@ def _resume(t, n, cells, rank, test, k):
         for c, sigma, pos, cs, ce in found[0]:
             if ce != ends:
                 kept.append((c, sigma, pos, cs, ce))
-            else:
-                kept.append((None if sigma == identity else c, sigma, pos))
+            elif sigma != identity:
+                kept.append((c, sigma, pos))
         for at, (c, sigma, pos, cs, ce) in found[1]:
             stopped.append((at, (c, sigma, pos) if ce == ends else (c, sigma, pos, cs, ce)))
     if stopped:
@@ -470,7 +464,7 @@ def canonical_form(s) -> CayleyTable:
     t = [v for row in table.entries for v in row]
     lo = 0 if any(t[:n]) or any(t[i * n] for i in range(n)) else 1
     cells = [(a, b) for a in range(lo, n) for b in range(lo, n)]
-    flat = _least(t, n, cells)[0]
+    flat = _least(t, n, cells)
     entries = tuple(tuple(flat[r * n:(r + 1) * n]) for r in range(n))
     return CayleyTable(order=n, entries=entries, names=None)
 
@@ -491,15 +485,14 @@ def _generate(opts: EnumerationOptions, domains):
     """The tables for opts whose free cells take values from domains, as
     (CayleyTable, |Aut|) pairs; |Aut| is 0 on a raw run, which tests nothing.
 
-    Up to iso, _resume tests canonicity after every filled cell, and at
-    the leaf after _assoc_full. A cell of the flat table t not yet filled
-    holds n.
+    Up to iso, _resume tests canonicity after every filled cell, the last
+    one included, and a leaf is kept when _assoc_full passes it. A cell
+    of the flat table t not yet filled holds n.
     """
     n = opts.order
     cells = _cells(n)
     rank, watch = _prepare(n, cells)
     t = [n if i and j else 0 for i in range(n) for j in range(n)]
-    last = len(cells) - 1
     # the test after cell (i, j) compares the row-major prefix of rows
     # 1..n-1 through (i, j), all of it filled
     compared = [(a, b) for a in range(1, n) for b in range(1, n)]
@@ -509,16 +502,10 @@ def _generate(opts: EnumerationOptions, domains):
         """Complete tables from cell k on; before is the canonicity test
         before cell k, None on a raw run."""
         if k == len(cells):
-            if not _assoc_full(n, t):
-                return
-            aut = 0
-            if before is not None:
-                # the last cell is tested here, once _assoc_full has passed it
-                after = _resume(t, n, prefixes[last], rank, before, last)
-                if after is None:
-                    return
-                aut = len(after[0])
-            yield CayleyTable(order=n, entries=[t[r * n:(r + 1) * n] for r in range(n)]), aut
+            if _assoc_full(n, t):
+                # the identity is not among the done records of the last test
+                aut = 0 if before is None else len(before[0]) + 1
+                yield CayleyTable(order=n, entries=[t[r * n:(r + 1) * n] for r in range(n)]), aut
             return
         i, j = cells[k]
         ij, ji = i * n + j, j * n + i
@@ -526,7 +513,7 @@ def _generate(opts: EnumerationOptions, domains):
             t[ij] = t[ji] = v
             if not _watch_ok(n, t, rank, watch[k], k):
                 continue
-            if before is None or k == last:
+            if before is None:
                 yield from descend(k + 1, before)
             elif (after := _resume(t, n, prefixes[k], rank, before, k)) is not None:
                 yield from descend(k + 1, after)

@@ -579,14 +579,19 @@ def naive_maximal_annihilator_clause(rows):
     return True, all(naive_is_prime_ideal(rows, ann) for _, ann in maximal)
 
 
-def naive_pairwise_products_clause(rows):
+def naive_pairwise_products_clause(rows, realizers=None):
     """prop-2.9a: with two or more associated primes, x and y whose
-    annihilators are distinct associated primes multiply to 0."""
-    primes = [ann for _, ann in naive_associated_primes(rows)]
-    if len(primes) < 2:
+    annihilators are distinct associated primes multiply to 0. realizers,
+    one group of elements per associated prime, replaces the groups the
+    rows give when it is passed."""
+    if realizers is None:
+        primes = [ann for _, ann in naive_associated_primes(rows)]
+        realizers = [[x for x, ann in _annihilators(rows) if ann == p] for p in primes]
+    if len(realizers) < 2:
         return False, True
-    realizing = [(x, ann) for x, ann in _annihilators(rows) if ann in primes]
-    return True, all(rows[x][y] == 0 for x, a in realizing for y, b in realizing if a != b)
+    return True, all(
+        rows[x][y] == 0 for xs, ys in itertools.combinations(realizers, 2) for x in xs for y in ys
+    )
 
 
 def _parts_and_primes(rows):

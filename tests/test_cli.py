@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from zdg import EnumerationOptions, audit, report, sgt
+from zdg import EnumerationOptions, SgtFormatError, audit, report, sgt
 from zdg.cli import main
 from children import run_python
 
@@ -288,6 +288,51 @@ def test_validate_non_utf8_stdin_exits_1(capsys, monkeypatch):
     assert err.startswith("error: ") and "not UTF-8" in err
 
 
+# each malformed .sgt text with the message sgt.loads raises for it
+BAD_SGT = [
+    ("# only a comment\n\n", "empty input"),
+    ("two\n0 0\n0 0\n", "first line must be the order, got 'two'"),
+    ("0\n", "order must be at least 1, got 0"),
+    ("2\nnames: 0\n0 0\n0 0\n", "expected 2 names, got 1"),
+    ("2\n0 0\n", "expected 2 table rows, got 1"),
+    ("2\n0 0\n0\n", "row 1 has 1 entries, expected 2"),
+    ("2\n0 0\n0 x\n", "row 1 has a non-integer entry: '0 x'"),
+]
+
+
+BAD_SGT_IDS = ["empty", "order-line", "order-0", "names", "rows", "row-length", "entry"]
+
+
+@pytest.mark.parametrize("text, message", BAD_SGT, ids=BAD_SGT_IDS)
+def test_loads_rejects_malformed_text(text, message):
+    with pytest.raises(SgtFormatError) as info:
+        sgt.loads(text)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("text, message", BAD_SGT, ids=BAD_SGT_IDS)
+def test_validate_of_a_malformed_file_exits_1(tmp_path, capsys, text, message):
+    path = tmp_path / "bad.sgt"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, "validate", str(path))
+    assert code == 1
+    assert out == ""
+    assert err == "error: %s\n" % message
+
+
+def test_validate_lists_twenty_violations_and_says_more_exist(tmp_path, capsys):
+    # x*y = x: seven products with 0 and 28 pairs break the laws
+    n = 8
+    path = tmp_path / "left.sgt"
+    path.write_text("%d\n" % n + "".join(" ".join([str(x)] * n) + "\n" for x in range(n)))
+    code, out, _ = run_cli(capsys, "validate", str(path))
+    assert code == 1
+    lines = out.splitlines()
+    assert len(lines) == 22
+    assert lines[-2] == "... more violations not shown"
+    assert lines[-1].startswith("invalid: ")
+
+
 def test_validate_builtin_id(capsys):
     code, out, _ = run_cli(capsys, "validate", "ex4.5")
     assert code == 0
@@ -409,6 +454,7 @@ def test_enumerate_limit(capsys):
         ("--limit", "-1", "--limit: must be at least 0, got -1"),
         ("--workers", "0", "--workers: must be at least 1, got 0"),
         ("--workers", "-2", "--workers: must be at least 1, got -2"),
+        ("--limit", "abc", "--limit: invalid int value: 'abc'"),
     ],
 )
 def test_corpus_flags_out_of_range_are_usage_errors(capsys, verb, flag, value, message):

@@ -49,6 +49,12 @@ RAW_COUNTS = {2: 2, 3: 14, 4: 194}
 ISO_COUNTS = {2: 2, 3: 8, 4: 39, 5: 226}
 ORDER_6_CLASSES = 1538
 ORDER_6_DIGEST = "2848b35768a20ec8d4fb4116cc1c96b4bf679207d8d936491d45da5aa08c274b"
+# the raw and reduced raw order-5 streams of the raw search, which tests
+# no canonicity: (count, sha256 of the repr of the entries), by reduced
+RAW_5_STREAMS = {
+    False: (4284, "2f3b5006f839ae187c1b04b5cf2250b87d4f452ef33d61862e36a21f82df6584"),
+    True: (1709, "3d6e960fbf7dda1731f3589993cfdc2b306f13b238c3c1c67bcc5e21213128e9"),
+}
 
 # builtin examples of order <= 7, small enough for the brute-force oracle
 SMALL_EXAMPLES = (
@@ -226,6 +232,15 @@ def test_order_6_classes_are_pinned_serially_and_with_workers():
     assert len(serial) == ORDER_6_CLASSES
     assert hashlib.sha256(repr(serial).encode()).hexdigest() == ORDER_6_DIGEST
     assert [t.entries for t in tables(opts, workers=2)] == serial
+
+
+@pytest.mark.parametrize("reduced", (False, True))
+@pytest.mark.parametrize("workers", (1, 2))
+def test_raw_order_5_streams_are_pinned_serially_and_with_workers(reduced, workers):
+    stream = tables(EnumerationOptions(order=5, require_reduced=reduced), workers=workers)
+    entries = [t.entries for t in stream]
+    digest = hashlib.sha256(repr(entries).encode()).hexdigest()
+    assert (len(entries), digest) == RAW_5_STREAMS[reduced]
 
 
 def test_order_bounds_are_enforced():
@@ -410,11 +425,13 @@ def test_up_to_iso_stream_is_the_brute_filtered_raw_stream(
         # prefix tests over labels 1..r alone, from r = 2, ran 7,385 tests;
         # 1·1 free in 0..4 with every square free, 2,372; tests at the ends
         # of rows 1 and 2 and at the leaf, 1,219 (474 + 745): now a test
-        # after every filled cell, 389 of them at the leaf
-        assert sum(canonicity_tests.values()) == 1769
+        # after every filled cell, the last one included, before the leaf's
+        # _assoc_full, 485 of them on the last cell
+        assert sum(canonicity_tests.values()) == 1865
+        assert sum(v for (row, _), v in canonicity_tests.items() if row == 4) == 485
         # a test whose records are all permutations looks them up and
-        # calls no walker: 744 of the 1,769 tests walk a partition
-        assert len(walked_tests) == 744
+        # calls no walker: 782 of the 1,865 tests walk a partition
+        assert len(walked_tests) == 782
 
 
 @pytest.mark.parametrize("reduced", (False, True))
@@ -509,10 +526,6 @@ def permutation_record(c, *images):
     return c, sigma, pos
 
 
-def identity_record(n):
-    return None, list(range(n)), list(range(n))
-
-
 def nothing_waiting(n):
     return [None] * len(enumeration._cells(n))
 
@@ -526,39 +539,38 @@ def test_a_permutation_record_that_beats_the_bound_gives_none():
     # row 1 is (1, 2, 1); swapping 2 and 3 reads 1*3 = 1 for cell (1, 2)
     t = partial_table(4, {(1, 1): 1, (1, 2): 2, (1, 3): 1})
     swap = permutation_record(0, 1, 3, 2)
-    assert resume(t, 4, ([identity_record(4), swap], nothing_waiting(4)), 2) is None
+    assert resume(t, 4, ([swap], nothing_waiting(4)), 2) is None
 
 
 def test_a_permutation_record_that_loses_is_dropped():
     # row 1 is (1, 1, 2); the swap gives 1*3 = 2 the label 3 > 1 at (1, 2)
     t = partial_table(4, {(1, 1): 1, (1, 2): 1, (1, 3): 2})
-    identity = identity_record(4)
     swap = permutation_record(0, 1, 3, 2)
-    done, waiting = resume(t, 4, ([identity, swap], nothing_waiting(4)), 2)
-    assert done == [identity]
-    assert waiting == nothing_waiting(4)
+    assert resume(t, 4, ([swap], nothing_waiting(4)), 2) == ([], nothing_waiting(4))
 
 
 def test_a_permutation_record_that_reads_an_unfilled_cell_waits_on_its_rank():
     # cells (1, 1) and (1, 2) are filled; the swap reads 1*3 for (1, 2),
     # the unfilled cell 2 of the fill order, while tied at (1, 1)
     t = partial_table(4, {(1, 1): 1, (1, 2): 1})
-    identity = identity_record(4)
     swap = permutation_record(0, 1, 3, 2)
-    done, waiting = resume(t, 4, ([identity, swap], nothing_waiting(4)), 1)
-    assert done == [identity]
+    done, waiting = resume(t, 4, ([swap], nothing_waiting(4)), 1)
+    assert done == []
     assert waiting == [None, None, (permutation_record(1, 1, 3, 2), None), None, None, None]
-    # once 1*3 is filled, the waiting record is looked up from cell (1, 2) on
+    # once 1*3 is filled, the waiting record is looked up from cell (1, 2)
+    # on: it beats the bound, loses, or ties through cell (1, 3)
     t[1 * 4 + 3] = t[3 * 4 + 1] = 0
     assert resume(t, 4, (done, waiting), 2) is None
     t[1 * 4 + 3] = t[3 * 4 + 1] = 2
-    assert resume(t, 4, (done, waiting), 2)[0] == [identity]
+    assert resume(t, 4, (done, waiting), 2)[0] == []
+    t[1 * 4 + 3] = t[3 * 4 + 1] = 1
+    assert resume(t, 4, (done, waiting), 2)[0] == [permutation_record(3, 1, 3, 2)]
 
 
 def test_resuming_a_test_changes_none_of_its_records():
     # the siblings of a cell resume one test each: none may change it
     t = partial_table(4, {(1, 1): 1, (1, 2): 1})
-    test = [identity_record(4), permutation_record(0, 1, 3, 2)], nothing_waiting(4)
+    test = [enumeration._unsplit(4), permutation_record(0, 1, 3, 2)], nothing_waiting(4)
     test = resume(t, 4, test, 1)
     before = copy.deepcopy(test)
     for value in range(4):
@@ -569,19 +581,28 @@ def test_resuming_a_test_changes_none_of_its_records():
 
 @pytest.mark.parametrize("name", ("null:4", "zg:4", "ex3.4", "powerset:2", "null:5"))
 def test_the_identity_is_carried_unwalked_and_counted_in_aut(name):
+    # the identity is kept in no record, done or waiting, at any test: it
+    # is counted once in |Aut| beside the done records of the last test
     table = canonical_form(builtin_example(name))
     n = table.order
     values = [v for row in table.entries for v in row]
-    identities = []
+    records = 0
     for _, _, test in fill_path(n, values, len(enumeration._cells(n)) - 1):
-        done, _ = test
-        identities.append([record for record in done if record[0] is None])
-    # once split off, the one identity record is the same object at every
-    # later test: no lookup rebuilds it
-    first = next(k for k, found in enumerate(identities) if found)
-    assert all(len(found) == 1 and found[0] is identities[first][0] for found in identities[first:])
-    assert identities[-1][0][1] == list(range(n))
-    assert len(done) == automorphism_count(table.entries)
+        done, waiting = test
+        for record in done + [r for chain in waiting for r in chain_records(chain)]:
+            records += 1
+            # a permutation record (c, sigma, pos) is never the identity; a
+            # partition record may hold sigma = identity with a block left
+            assert len(record) == 5 or record[1] != list(range(n))
+    assert records > 0
+    assert len(done) + 1 == automorphism_count(table.entries)
+
+
+def chain_records(chain):
+    """The records of one waiting chain (record, rest)."""
+    while chain:
+        record, chain = chain
+        yield record
 
 
 @pytest.mark.parametrize("order", (3, 4, 5))
@@ -599,7 +620,7 @@ def test_resumed_tests_agree_with_fresh_ones_along_every_fill_path(order):
             assert (test is None) == (fresh_test(t, n, k) is None), (table, k)
         if test is not None:
             kept += 1
-            assert len(test[0]) == automorphism_count(table.entries), table
+            assert len(test[0]) + 1 == automorphism_count(table.entries), table
     assert kept == ISO_COUNTS[n]
 
 

@@ -461,6 +461,28 @@ def test_clique5_clause_reads_its_conclusion_from_gamma(monkeypatch):
     assert (c.applicable, c.holds) == naive_clique5_clause(s.table.entries, k4) == (True, False)
 
 
+def test_pairwise_products_conclusion_reads_the_realizers():
+    # no commutative table can fail prop-2.9a either: by the argument
+    # above, x and y realizing distinct associated primes have xy = 0.
+    # Only false realizers, handed to checker and oracle alike, show the
+    # conclusion evaluated. In powerset:3, {1}·{1,2} = {1} is nonzero
+    s = builtin_example("powerset:3")
+    realizers = ((1,), (3,))
+    s._associated = ((1, s.annihilator(1)), (3, s.annihilator(3))), realizers
+    c = clause(check_ass_properties(s), "prop-2.9a-pairwise-products")
+    assert (c.applicable, c.holds) == naive_pairwise_products_clause(
+        s.table.entries, realizers) == (True, False)
+    assert c.witness["violations"] == [[1, 3]]
+
+
+def test_maximal_annihilator_clause_is_vacuous_without_nonzero_elements():
+    s = null_semigroup(1)
+    c = clause(check_ass_properties(s), "lem-2.8-maximal-annihilators")
+    assert (c.applicable, c.holds) == naive_maximal_annihilator_clause(s.table.entries) == (
+        False, True)
+    assert "no nonzero elements" in c.notes
+
+
 # how often each applies over small_table_corpus(); every one holds
 COLOURING_CLAUSE_APPLIED = {
     "fact-chi-ge-omega": 436,
