@@ -1,13 +1,14 @@
 """Exhaustive generation of small commutative semigroups with zero.
 
 Tables are generated by backtracking over the upper triangle of the
-multiplication table (row and column 0 are pinned to 0). Pruning is
-incomplete: an associativity triple is checked only at the cell that
-completes its inner products xy and yz, and only if both outer products
-(xy)z and x(yz) are set by then. A triple whose outer product lands on
-a later cell is never looked at again during the descent, so every
-complete table is checked in full at the leaf (_assoc_full), which
-rejects most of them. Emission order is ascending in the flat row-major
+multiplication table (row and column 0 are pinned to 0); a cell not
+yet filled holds the value n. One check, _watch_ok, tests associativity,
+and pruning is incomplete: a triple is checked at the cell that
+completes its inner products xy and yz, and only if neither outer
+product (xy)z nor x(yz) reads n by then. A triple whose outer product
+lands on a later cell is never looked at again during the descent, so
+the leaf runs the same check over every triple, and it rejects most
+complete tables. Emission order is ascending in the flat row-major
 table, so repeated runs produce byte-identical output.
 
 Commutativity lets the associativity check range over triples (x, y, z)
@@ -18,7 +19,7 @@ relabeling fixing 0 makes it lex-smaller (it equals its canonical_form).
 The search tests this as it goes, in the manner of Read's orderly
 generation (Read 1978), with canonical_form's own search (_least)
 stopped at the first relabeling that beats the table; raw enumeration
-runs no test. A cell not yet filled holds the value n:
+runs no test:
 
 - After every filled cell (i, j), the branch is dropped when some
   relabeling fixing 0 makes the row-major prefix of rows 1..n-1 through
@@ -39,8 +40,8 @@ runs no test. A cell not yet filled holds the value n:
   ties each one, so it can never beat the table, lose or wait: _resume
   drops it as it comes out of _least, and it is counted instead.
 - The last cell is tested like every other, and that test compares the
-  whole table. A leaf is kept when it passed and _assoc_full passes the
-  table; only the tables kept become CayleyTables.
+  whole table. A leaf is kept when it passed and the associativity
+  check passes the whole table; only the tables kept become CayleyTables.
 
 Each cell takes the values of its domain, which up to iso must hold
 every canonical table. require_reduced drops 0 from the diagonal,
@@ -131,41 +132,35 @@ def _cells(n: int) -> list[tuple[int, int]]:
 def _prepare(n, cells):
     """Fill ranks and per-cell watch lists of associativity triples.
 
-    rank[a*n+b] is the fill index of the cell holding a*b (-1 when the
-    product involves 0 and is known from the start). A triple (x, y, z)
-    lands on the watch list of the later of its two inner-product cells,
-    the first moment both xy and yz are known.
+    rank[a*n+b] is the fill index of the cell holding a*b. Only the watch
+    lists here and the waiting chains of _resume read it, at nonzero a
+    and b, so the -1 of a product involving 0 is never read. A triple
+    (x, y, z) lands on the watch list of the later of its two
+    inner-product cells, the first moment both xy and yz are known. One
+    more list, watch[len(cells)], holds every triple, for the leaf.
     """
     rank = [-1] * (n * n)
     for k, (i, j) in enumerate(cells):
         rank[i * n + j] = k
         rank[j * n + i] = k
-    watch = [[] for _ in cells]
+    watch = [[] for _ in range(len(cells) + 1)]
     for x in range(1, n):
         for z in range(x, n):
             for y in range(1, n):
                 k = max(rank[x * n + y], rank[y * n + z])
                 watch[k].append((x, y, z))
+                watch[-1].append((x, y, z))
     return rank, watch
 
 
-def _watch_ok(n, t, rank, triples, k) -> bool:
-    """Check the watched triples whose outer products are already set."""
+def _watch_ok(n, t, triples) -> bool:
+    """Check the triples whose outer products (xy)z and x(yz) are both
+    set; an unfilled cell of t holds n."""
     for x, y, z in triples:
-        p = t[x * n + y]
-        q = t[y * n + z]
-        if rank[p * n + z] <= k and rank[x * n + q] <= k:
-            if t[p * n + z] != t[x * n + q]:
-                return False
-    return True
-
-
-def _assoc_full(n, t) -> bool:
-    for x in range(1, n):
-        for z in range(x, n):
-            for y in range(1, n):
-                if t[t[x * n + y] * n + z] != t[x * n + t[y * n + z]]:
-                    return False
+        u = t[t[x * n + y] * n + z]
+        v = t[x * n + t[y * n + z]]
+        if u != v and u != n and v != n:
+            return False
     return True
 
 
@@ -485,9 +480,10 @@ def _generate(opts: EnumerationOptions, domains):
     """The tables for opts whose free cells take values from domains, as
     (CayleyTable, |Aut|) pairs; |Aut| is 0 on a raw run, which tests nothing.
 
-    Up to iso, _resume tests canonicity after every filled cell, the last
-    one included, and a leaf is kept when _assoc_full passes it. A cell
-    of the flat table t not yet filled holds n.
+    After every filled cell _watch_ok checks its watch list, and up to
+    iso _resume then tests canonicity; a leaf is kept when _watch_ok
+    passes every triple, watch[len(cells)]. A cell of the flat table t
+    not yet filled holds n.
     """
     n = opts.order
     cells = _cells(n)
@@ -502,7 +498,7 @@ def _generate(opts: EnumerationOptions, domains):
         """Complete tables from cell k on; before is the canonicity test
         before cell k, None on a raw run."""
         if k == len(cells):
-            if _assoc_full(n, t):
+            if _watch_ok(n, t, watch[k]):
                 # the identity is not among the done records of the last test
                 aut = 0 if before is None else len(before[0]) + 1
                 yield CayleyTable(order=n, entries=[t[r * n:(r + 1) * n] for r in range(n)]), aut
@@ -511,7 +507,7 @@ def _generate(opts: EnumerationOptions, domains):
         ij, ji = i * n + j, j * n + i
         for v in domains[k]:
             t[ij] = t[ji] = v
-            if not _watch_ok(n, t, rank, watch[k], k):
+            if not _watch_ok(n, t, watch[k]):
                 continue
             if before is None:
                 yield from descend(k + 1, before)

@@ -426,7 +426,7 @@ def test_up_to_iso_stream_is_the_brute_filtered_raw_stream(
         # 1·1 free in 0..4 with every square free, 2,372; tests at the ends
         # of rows 1 and 2 and at the leaf, 1,219 (474 + 745): now a test
         # after every filled cell, the last one included, before the leaf's
-        # _assoc_full, 485 of them on the last cell
+        # check of every triple, 485 of them on the last cell
         assert sum(canonicity_tests.values()) == 1865
         assert sum(v for (row, _), v in canonicity_tests.items() if row == 4) == 485
         # a test whose records are all permutations looks them up and
@@ -451,6 +451,38 @@ def partial_table(n, cells):
     for (i, j), v in cells.items():
         t[i * n + j] = t[j * n + i] = v
     return t
+
+
+def test_the_leaf_watch_list_accepts_exactly_the_associative_tables():
+    # every zero-framed commutative table of order 4, 4**6 of them
+    n = 4
+    cells = enumeration._cells(n)
+    _, watch = enumeration._prepare(n, cells)
+    accepted = []
+    for values in itertools.product(range(n), repeat=len(cells)):
+        t = partial_table(n, dict(zip(cells, values)))
+        if enumeration._watch_ok(n, t, watch[len(cells)]):
+            accepted.append(tuple(tuple(t[r * n:(r + 1) * n]) for r in range(n)))
+    assert len(accepted) == RAW_COUNTS[n]
+    assert sorted(accepted) == sorted(naive_zero_tables(n))
+
+
+@pytest.mark.parametrize("filled, ok", [
+    # 1·1 = 1, 1·2 = 3: (1·1)·2 = 3 is set and 1·(1·2) = 1·3 holds n
+    ({(1, 1): 1, (1, 2): 3}, True),
+    # 1·3 = 1 set: (1·1)·2 = 3 but 1·(1·2) = 1
+    ({(1, 1): 1, (1, 2): 3, (1, 3): 1}, False),
+    # 1·1 = 0, 1·2 = 2: (1·1)·2 = 0 but 1·(1·2) = 2
+    ({(1, 1): 0, (1, 2): 2}, False),
+    # 1·1 = 0, 1·2 = 1: (1·1)·2 = 0 = 1·(1·2)
+    ({(1, 1): 0, (1, 2): 1}, True),
+])
+def test_a_watched_triple_is_checked_once_both_outer_products_are_set(filled, ok):
+    n = 4
+    _, watch = enumeration._prepare(n, enumeration._cells(n))
+    # 1·2 is cell 1 of the fill order, where (1, 1, 2) is watched
+    assert (1, 1, 2) in watch[1]
+    assert enumeration._watch_ok(n, partial_table(n, filled), watch[1]) is ok
 
 
 def compared(n, k):

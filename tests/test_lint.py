@@ -374,3 +374,23 @@ def test_enumeration_has_one_walker():
     ]
     assert defined.count("walk") == 1
     assert defined.count("branch") == 1
+
+
+def _reads_t(node) -> bool:
+    return isinstance(node, ast.Subscript) and isinstance(node.value, ast.Name) and node.value.id == "t"
+
+
+def test_enumeration_has_one_associativity_check():
+    # the watch lists and the leaf share one associativity check; only it
+    # reads a product of a product, t[... t[...] ...]
+    path = PACKAGE / "enumeration.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    checks = [
+        fn.name for fn in ast.walk(tree)
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and any(
+            _reads_t(node) and any(_reads_t(inner) for inner in ast.walk(node.slice))
+            for node in ast.walk(fn)
+        )
+    ]
+    assert checks == ["_watch_ok"]
