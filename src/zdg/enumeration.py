@@ -22,10 +22,11 @@ stopped at the first relabeling that beats the table; raw enumeration
 runs no test:
 
 - After every filled cell (i, j), the branch is dropped when some
-  relabeling fixing 0 makes the row-major prefix of rows 1..n-1 through
-  (i, j) smaller. That prefix is all filled, and every cell the beating
-  relabeling read is fixed in every completion, so every completion is
-  beaten too.
+  relabeling fixing 0 makes the cells of the fill order through (i, j)
+  smaller, read in that order: the upper triangle of the row-major
+  prefix, which decides as the whole prefix would (see _generate). That
+  prefix is all filled, and every cell the beating relabeling read is
+  fixed in every completion, so every completion is beaten too.
 - A relabeling still tied when it reads an unfilled cell is suspended,
   not dropped: its state waits on the fill rank of that cell. At a
   branch only the members that read one wait; the others go on at once.
@@ -33,15 +34,16 @@ runs no test:
   states that completed the previous prefix and those waiting on the
   cell just filled, and carries every other state down. So no test
   walks again what the test before it passed.
-- A state whose labels are all given out (a permutation record) cannot
-  branch, so _resume tests it by lookup, cell by cell, with no copy; only
-  states with a block of two or more labels left (partition records) go
-  through _least, from copies. The identity reads only filled cells and
-  ties each one, so it can never beat the table, lose or wait: _resume
-  drops it as it comes out of _least, and it is counted instead.
+- _resume looks a state's cells up itself, with no copy, while the
+  labels of a cell and of its product are fixed; only a state that must
+  split a block or branch goes through _least, from copies. The identity
+  reads only filled cells and ties each one, so it can never beat the
+  table, lose or wait: _resume drops it wherever it completes with every
+  label given out, and it is counted instead.
 - The last cell is tested like every other, and that test compares the
-  whole table. A leaf is kept when it passed and the associativity
-  check passes the whole table; only the tables kept become CayleyTables.
+  upper triangle, which decides the whole table. A leaf is kept when it
+  passed and the associativity check passes the whole table; only the
+  tables kept become CayleyTables.
 
 Each cell takes the values of its domain, which up to iso must hold
 every canonical table. require_reduced drops 0 from the diagonal,
@@ -192,9 +194,10 @@ def _least(t, n, cells, bound=None, starts=None):
     """Least cell values over the relabelings fixing 0.
 
     t is the flat n*n table and cells the (row, column) label pairs to
-    compare, in order, whole rows at a time. Returns the least values of
-    the cells, as a flat n*n table with 0 elsewhere. See canonical_form
-    for the search.
+    compare, in row-major order: whole rows, or the upper triangle of a
+    symmetric t (see _generate), or a prefix of either. Returns the least
+    values of the cells, as a flat n*n table with 0 elsewhere. See
+    canonical_form for the search.
 
     The search drops a relabeling only where it makes some cell larger
     than another relabeling does, and gives each branch its own element
@@ -214,10 +217,9 @@ def _least(t, n, cells, bound=None, starts=None):
     read one stop; each stops with its element moved to the front, so
     that the record walks on as the branch would have.
 
-    _resume walks a record here only while its partition has a block of
-    two or more labels (a partition record); it looks up the cells of a
-    record whose labels are all given out (a permutation record) itself,
-    and drops the identity as it comes out of here.
+    _resume looks up the cells of its records itself and walks a record
+    here only from a cell where a block must split or the search must
+    branch.
     """
     ncells = len(cells)
     cand = [0] * (n * n)
@@ -340,33 +342,33 @@ def _least(t, n, cells, bound=None, starts=None):
 def _resume(t, n, cells, rank, test, k):
     """The canonicity test once cell k of the fill order is filled.
 
-    cells are the compared cells, the row-major prefix of rows 1..n-1
-    through cell k, and t is the bound (see _least). test is the test
-    before cell k: (done, waiting), the records that completed the
-    previous prefix and, by fill rank, a chain (record, rest) of the
-    records waiting on each cell. Only these can move, so the done
-    records and those waiting on cell k are walked on, and every other
-    chain is carried down as it is. Returns None when beaten, else the
-    test after cell k. After the last cell the cells are the whole
+    cells are the compared cells, the fill order through cell k, and t
+    is the bound (see _least). test is the test before cell k: (done,
+    waiting), the records that completed the previous prefix and, by
+    fill rank, a chain (record, rest) of the records waiting on each
+    cell. Only these can move, so the done records and those waiting on
+    cell k are walked on, and every other chain is carried down as it
+    is. Returns None when beaten, else the test after cell k. After the
+    last cell the cells are the upper triangle, which decides the whole
     table, and the done records are its |Aut| - 1 automorphisms other
     than the identity.
 
-    A record comes in one of two kinds:
+    A record (c, sigma, pos, cs, ce) is a state of _least tied with the
+    bound through cell c. It is walked on here by lookup, without
+    copies, while compared cell (a, b) has one value: labels a and b
+    are blocks of their own, as _least's walk requires, so the cell
+    reads x = t[sigma[a]*n + sigma[b]]. An unfilled x makes the record
+    wait on its fill rank. Otherwise x takes the first label of its
+    block, cs[pos[x]], as _to_front would give it; that label beats the
+    bound when lower and drops the record when higher, and a tie goes
+    on to the next cell when x's block has one element. A record goes
+    to _least from cell c only where a block must split or the search
+    must branch.
 
-    - A partition record (c, sigma, pos, cs, ce) still has a block of two
-      or more labels; _least walks it on from cell c.
-    - A permutation record (c, sigma, pos) has every label in a block of
-      its own, so each cell has one value and nothing can branch. It is
-      tested here by lookup, without copies: cell (a, b) has the label
-      pos[t[sigma[a]*n + sigma[b]]], which beats the bound when lower and
-      drops the record when higher, and an unfilled cell makes the record
-      wait on its fill rank.
-
-    _least is called only when some record to walk is a partition record.
-    Records that come out of it with a discrete partition become
-    permutation records, except the identity, which is dropped: it reads
-    only filled cells and ties each one, so it can never beat the bound,
-    lose or wait.
+    The identity is dropped wherever it completes with every label a
+    block of its own (at order 2 it starts so): it reads only filled
+    cells and ties each one, so it can never beat the bound, lose or
+    wait.
     """
     done, waiting = test
     records = list(done)
@@ -378,39 +380,37 @@ def _resume(t, n, cells, rank, test, k):
     kept = []
     stopped = []
     starts = []
-    for record in records:
-        if len(record) == 5:
-            starts.append(record)
-            continue
-        c, sigma, pos = record
+    for c, sigma, pos, cs, ce in records:
         while c < ncells:
             a, b = cells[c]
+            if ce[a] - cs[a] > 1 or ce[b] - b > 1:
+                starts.append((c, sigma, pos, cs, ce))
+                break
             at = sigma[a] * n + sigma[b]
             x = t[at]
             if x == n:
-                stopped.append((at, (c, sigma, pos)))
+                stopped.append((at, (c, sigma, pos, cs, ce)))
                 break
-            v, w = pos[x], t[a * n + b]
+            p = pos[x]
+            v, w = cs[p], t[a * n + b]
             if v != w:
                 if v < w:
                     return None
                 break
+            if ce[p] - v > 1:
+                starts.append((c, sigma, pos, cs, ce))
+                break
             c += 1
         else:
-            kept.append((c, sigma, pos))
+            kept.append((c, sigma, pos, cs, ce))
     if starts:
         found = _least(t, n, cells, t, starts)
         if found is None:
             return None
-        identity = list(range(n))
-        ends = identity[1:] + [n]  # ce of a discrete partition
-        for c, sigma, pos, cs, ce in found[0]:
-            if ce != ends:
-                kept.append((c, sigma, pos, cs, ce))
-            elif sigma != identity:
-                kept.append((c, sigma, pos))
-        for at, (c, sigma, pos, cs, ce) in found[1]:
-            stopped.append((at, (c, sigma, pos) if ce == ends else (c, sigma, pos, cs, ce)))
+        kept += found[0]
+        stopped += found[1]
+    identity = list(range(n))
+    kept = [r for r in kept if r[1] != identity or r[3] != identity]
     if stopped:
         waiting = list(waiting)
         for at, record in stopped:
@@ -484,15 +484,20 @@ def _generate(opts: EnumerationOptions, domains):
     iso _resume then tests canonicity; a leaf is kept when _watch_ok
     passes every triple, watch[len(cells)]. A cell of the flat table t
     not yet filled holds n.
+
+    The test after cell k compares the fill order through it, the
+    upper-triangle cells of the row-major prefix, and that decides as
+    the whole prefix would. In row-major order the first difference
+    between two symmetric tables lies in the upper triangle: a cell
+    (i, j) with j < i that differs has its mirror (j, i) differing
+    earlier. So a relabeling tied through row i - 1 also ties the
+    mirror cells (i, 1..i-1), and walking them would only cost time.
     """
     n = opts.order
     cells = _cells(n)
     rank, watch = _prepare(n, cells)
     t = [n if i and j else 0 for i in range(n) for j in range(n)]
-    # the test after cell (i, j) compares the row-major prefix of rows
-    # 1..n-1 through (i, j), all of it filled
-    compared = [(a, b) for a in range(1, n) for b in range(1, n)]
-    prefixes = [compared[:(i - 1) * (n - 1) + j] for i, j in cells]
+    prefixes = [cells[:k + 1] for k in range(len(cells))]
 
     def descend(k, before):
         """Complete tables from cell k on; before is the canonicity test

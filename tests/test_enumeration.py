@@ -429,9 +429,9 @@ def test_up_to_iso_stream_is_the_brute_filtered_raw_stream(
         # check of every triple, 485 of them on the last cell
         assert sum(canonicity_tests.values()) == 1865
         assert sum(v for (row, _), v in canonicity_tests.items() if row == 4) == 485
-        # a test whose records are all permutations looks them up and
-        # calls no walker: 782 of the 1,865 tests walk a partition
-        assert len(walked_tests) == 782
+        # a test looks its records up and calls no walker unless one must
+        # split a block or branch: 206 of the 1,865 tests walk a record
+        assert len(walked_tests) == 206
 
 
 @pytest.mark.parametrize("reduced", (False, True))
@@ -487,7 +487,13 @@ def test_a_watched_triple_is_checked_once_both_outer_products_are_set(filled, ok
 
 def compared(n, k):
     """The cells the canonicity test after cell k of the fill order
-    compares: rows 1..n-1 in row-major order, through that cell."""
+    compares: the fill order through that cell."""
+    return enumeration._cells(n)[:k + 1]
+
+
+def full_rows(n, k):
+    """Rows 1..n-1 in row-major order through cell k of the fill order:
+    compared(n, k) with the cells below the diagonal put back."""
     whole = [(a, b) for a in range(1, n) for b in range(1, n)]
     return whole[:whole.index(enumeration._cells(n)[k]) + 1]
 
@@ -498,18 +504,19 @@ def fresh_test(t, n, k):
     return enumeration._least(t, n, compared(n, k), t)
 
 
-def fill_path(n, values, last):
+def fill_path(n, values, last, prefix=compared):
     """Fill cells 0..last of the fill order from values, a flat n*n
     table, one at a time, and after each run the test resumed from the
-    one before. Yields (k, t, test): t is the partial table, filled on in
-    place, and test is None when beaten, where the path stops."""
+    one before over prefix(n, k). Yields (k, t, test): t is the partial
+    table, filled on in place, and test is None when beaten, where the
+    path stops."""
     cells = enumeration._cells(n)
     rank, _ = enumeration._prepare(n, cells)
     t = partial_table(n, {})
     test = [enumeration._unsplit(n)], [None] * len(cells)
     for k, (i, j) in enumerate(cells[:last + 1]):
         t[i * n + j] = t[j * n + i] = values[i * n + j]
-        test = enumeration._resume(t, n, compared(n, k), rank, test, k)
+        test = enumeration._resume(t, n, prefix(n, k), rank, test, k)
         yield k, t, test
         if test is None:
             return
@@ -548,14 +555,20 @@ def test_prefix_test_moves_labels_past_the_prefix():
     assert verdicts == [(False, False), (False, False), (True, True)]
 
 
-def permutation_record(c, *images):
-    """The permutation record that walks on from compared cell c with
-    sigma = (0, *images), as _resume keeps it: (c, sigma, pos)."""
+def record_of(c, *images, blocks=None):
+    """The record (c, sigma, pos, cs, ce) that walks on from compared cell
+    c with sigma = (0, *images). blocks lists the (first, end) label runs
+    of two or more labels; every other label is a block of its own."""
     sigma = [0, *images]
-    pos = [0] * len(sigma)
+    n = len(sigma)
+    pos = [0] * n
     for label, element in enumerate(sigma):
         pos[element] = label
-    return c, sigma, pos
+    cs, ce = list(range(n)), list(range(1, n + 1))
+    for first, end in blocks or ():
+        cs[first:end] = [first] * (end - first)
+        ce[first:end] = [end] * (end - first)
+    return c, sigma, pos, cs, ce
 
 
 def nothing_waiting(n):
@@ -570,14 +583,14 @@ def resume(t, n, test, k):
 def test_a_permutation_record_that_beats_the_bound_gives_none():
     # row 1 is (1, 2, 1); swapping 2 and 3 reads 1*3 = 1 for cell (1, 2)
     t = partial_table(4, {(1, 1): 1, (1, 2): 2, (1, 3): 1})
-    swap = permutation_record(0, 1, 3, 2)
+    swap = record_of(0, 1, 3, 2)
     assert resume(t, 4, ([swap], nothing_waiting(4)), 2) is None
 
 
 def test_a_permutation_record_that_loses_is_dropped():
     # row 1 is (1, 1, 2); the swap gives 1*3 = 2 the label 3 > 1 at (1, 2)
     t = partial_table(4, {(1, 1): 1, (1, 2): 1, (1, 3): 2})
-    swap = permutation_record(0, 1, 3, 2)
+    swap = record_of(0, 1, 3, 2)
     assert resume(t, 4, ([swap], nothing_waiting(4)), 2) == ([], nothing_waiting(4))
 
 
@@ -585,10 +598,10 @@ def test_a_permutation_record_that_reads_an_unfilled_cell_waits_on_its_rank():
     # cells (1, 1) and (1, 2) are filled; the swap reads 1*3 for (1, 2),
     # the unfilled cell 2 of the fill order, while tied at (1, 1)
     t = partial_table(4, {(1, 1): 1, (1, 2): 1})
-    swap = permutation_record(0, 1, 3, 2)
+    swap = record_of(0, 1, 3, 2)
     done, waiting = resume(t, 4, ([swap], nothing_waiting(4)), 1)
     assert done == []
-    assert waiting == [None, None, (permutation_record(1, 1, 3, 2), None), None, None, None]
+    assert waiting == [None, None, (record_of(1, 1, 3, 2), None), None, None, None]
     # once 1*3 is filled, the waiting record is looked up from cell (1, 2)
     # on: it beats the bound, loses, or ties through cell (1, 3)
     t[1 * 4 + 3] = t[3 * 4 + 1] = 0
@@ -596,14 +609,19 @@ def test_a_permutation_record_that_reads_an_unfilled_cell_waits_on_its_rank():
     t[1 * 4 + 3] = t[3 * 4 + 1] = 2
     assert resume(t, 4, (done, waiting), 2)[0] == []
     t[1 * 4 + 3] = t[3 * 4 + 1] = 1
-    assert resume(t, 4, (done, waiting), 2)[0] == [permutation_record(3, 1, 3, 2)]
+    assert resume(t, 4, (done, waiting), 2)[0] == [record_of(3, 1, 3, 2)]
 
 
 def test_resuming_a_test_changes_none_of_its_records():
     # the siblings of a cell resume one test each: none may change it
     t = partial_table(4, {(1, 1): 1, (1, 2): 1})
-    test = [enumeration._unsplit(4), permutation_record(0, 1, 3, 2)], nothing_waiting(4)
-    test = resume(t, 4, test, 1)
+    records = [
+        enumeration._unsplit(4),
+        record_of(0, 1, 3, 2),
+        # looked up through (1, 1), then walked to split the block of 2 and 3
+        record_of(0, 1, 2, 3, blocks=[(2, 4)]),
+    ]
+    test = resume(t, 4, (records, nothing_waiting(4)), 1)
     before = copy.deepcopy(test)
     for value in range(4):
         t[1 * 4 + 3] = t[3 * 4 + 1] = value
@@ -611,22 +629,61 @@ def test_resuming_a_test_changes_none_of_its_records():
         assert test == before
 
 
-@pytest.mark.parametrize("name", ("null:4", "zg:4", "ex3.4", "powerset:2", "null:5"))
+@pytest.mark.parametrize("product, after", [
+    # cells (1, 1) and (1, 2) are 0 and 1. The record gives labels 1 and 2
+    # to elements 1 and 3, and labels 3 and 4, one block, to elements 2
+    # and 4. It ties at (1, 1) and reads 1*3 for (1, 2), where the lookup
+    # decides whether 1*3's label is fixed or the least of its block:
+    (0, None),  # label 0 < 1 beats the bound
+    (1, "kept"),  # label 1 ties, and the record completes the prefix
+    (3, "dropped"),  # label 2 > 1 loses
+    (4, "dropped"),  # label 3, the least of the block, loses
+])
+def test_a_partition_record_that_reads_fixed_labels_is_decided_without_the_walker(
+    product, after, walked_tests
+):
+    n = 5
+    t = partial_table(n, {(1, 1): 0, (1, 2): 1, (1, 3): product})
+    record = record_of(0, 1, 3, 2, 4, blocks=[(3, 5)])
+    test = resume(t, n, ([record], nothing_waiting(n)), 1)
+    if after is None:
+        assert test is None
+    else:
+        assert test == ([(2, *record[1:])] if after == "kept" else [], nothing_waiting(n))
+    assert walked_tests == []
+
+
+def test_a_record_whose_product_lands_in_a_block_of_two_goes_to_the_walker(walked_tests):
+    # the same record reads 1*3 = 2 for cell (1, 2) = 3, which ties at
+    # label 3 only once element 2 is split from 4 in the block of 3 and 4
+    n = 5
+    t = partial_table(n, {(1, 1): 0, (1, 2): 3, (1, 3): 2})
+    record = record_of(0, 1, 3, 2, 4, blocks=[(3, 5)])
+    done, _ = resume(t, n, ([record], nothing_waiting(n)), 1)
+    assert len(walked_tests) == 1
+    assert done == [record_of(2, 1, 3, 2, 4)]
+
+
+@pytest.mark.parametrize(
+    "name", ("null:2", "zg:2", "null:4", "zg:4", "ex3.4", "powerset:2", "null:5")
+)
 def test_the_identity_is_carried_unwalked_and_counted_in_aut(name):
     # the identity is kept in no record, done or waiting, at any test: it
-    # is counted once in |Aut| beside the done records of the last test
+    # is counted once in |Aut| beside the done records of the last test.
+    # At order 2 the starting record is already the identity with every
+    # label a block of its own, and no other record is ever kept
     table = canonical_form(builtin_example(name))
     n = table.order
+    identity = list(range(n))
     values = [v for row in table.entries for v in row]
     records = 0
     for _, _, test in fill_path(n, values, len(enumeration._cells(n)) - 1):
         done, waiting = test
-        for record in done + [r for chain in waiting for r in chain_records(chain)]:
+        for c, sigma, pos, cs, ce in done + [r for chain in waiting for r in chain_records(chain)]:
             records += 1
-            # a permutation record (c, sigma, pos) is never the identity; a
-            # partition record may hold sigma = identity with a block left
-            assert len(record) == 5 or record[1] != list(range(n))
-    assert records > 0
+            # a record may hold sigma = identity while a block is left
+            assert sigma != identity or cs != identity
+    assert records > 0 or n == 2
     assert len(done) + 1 == automorphism_count(table.entries)
 
 
@@ -637,7 +694,7 @@ def chain_records(chain):
         yield record
 
 
-@pytest.mark.parametrize("order", (3, 4, 5))
+@pytest.mark.parametrize("order", (2, 3, 4, 5))
 def test_resumed_tests_agree_with_fresh_ones_along_every_fill_path(order):
     # every raw table filled cell by cell in the generator's order: the
     # test resumed from the one before gives the verdict of a test started
@@ -654,6 +711,21 @@ def test_resumed_tests_agree_with_fresh_ones_along_every_fill_path(order):
             kept += 1
             assert len(test[0]) + 1 == automorphism_count(table.entries), table
     assert kept == ISO_COUNTS[n]
+
+
+def test_the_tests_over_the_triangle_agree_with_the_tests_over_full_rows():
+    # a relabeling of a symmetric table tied through row i - 1 ties the
+    # mirror cells (i, 1..i-1) too, so leaving them out changes no verdict
+    # and no |Aut|
+    n = 4
+    last = len(enumeration._cells(n)) - 1
+    for table in tables(EnumerationOptions(n)):
+        values = [v for row in table.entries for v in row]
+        triangle = [test for _, _, test in fill_path(n, values, last)]
+        rows = [test for _, _, test in fill_path(n, values, last, full_rows)]
+        assert [test is None for test in triangle] == [test is None for test in rows]
+        if triangle[-1] is not None:
+            assert len(triangle[-1][0]) == len(rows[-1][0])
 
 
 # -- audit ----------------------------------------------------------------------
