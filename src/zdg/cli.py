@@ -170,17 +170,17 @@ def _corpus_options(args) -> EnumerationOptions:
 
 def _cmd_enumerate(args) -> int:
     opts = _corpus_options(args)
-    return _write_corpus(enumerate_semigroups(opts, workers=args.workers))
+    return _write_corpus(enumerate_semigroups(opts))
 
 
 def _cmd_search(args) -> int:
     opts = _corpus_options(args)
-    return _write_corpus(search(opts, args.predicate, workers=args.workers))
+    return _write_corpus(search(opts, args.predicate))
 
 
 def _cmd_audit(args) -> int:
     opts = _corpus_options(args)
-    sys.stdout.write(render(audit_block(audit(opts, workers=args.workers))))
+    sys.stdout.write(render(audit_block(audit(opts))))
     return 0
 
 
@@ -259,7 +259,6 @@ def _build_parser() -> argparse.ArgumentParser:
             sp.add_argument(
                 "--limit", type=_int_at_least(0), default=None, metavar="M"
             )
-        sp.add_argument("--workers", type=_int_at_least(1), default=1, metavar="W")
 
     sp = sub.add_parser(
         "enumerate", help="generate all semigroups of one order as .sgt records"

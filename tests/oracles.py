@@ -297,6 +297,29 @@ def burnside_class_count(tables, n: int) -> int:
     return classes
 
 
+def three_nilpotent_count(n: int) -> int:
+    """Labelled commutative order-n tables with zero and S³ = 0 ≠ S², in
+    closed form, with no search.
+
+    Such a table splits the n-1 nonzero elements into B = S² minus 0,
+    b >= 1 of them, and the a = n-1-b >= 1 others, A. Every product
+    with a factor in B is 0, since it lies in S³. The table is then any
+    map from the a(a+1)/2 unordered pairs of A to B ∪ {0} that is onto
+    B, and each such map is associative, as every triple product is 0.
+    Inclusion-exclusion over the j elements of B the map misses counts
+    the maps onto B.
+    """
+    total = 0
+    for b in range(1, n - 1):
+        a = n - 1 - b
+        pairs = a * (a + 1) // 2
+        onto = sum(
+            (-1) ** j * math.comb(b, j) * (b + 1 - j) ** pairs for j in range(b + 1)
+        )
+        total += math.comb(n - 1, b) * onto
+    return total
+
+
 # -- the ideal layer, on table rows ---------------------------------------------
 #
 # S is the rows of a table of order n with 0 absorbing; every function

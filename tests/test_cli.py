@@ -40,10 +40,17 @@ def test_repeated_main_calls_build_the_parser_once(capsys, monkeypatch):
 
 
 def test_import_leaves_the_process_pool_unloaded():
-    # only a --workers run above 1 needs concurrent.futures
-    code = "import sys, zdg, zdg.cli; print('concurrent.futures' in sys.modules)"
+    # the streams run in this process: importing zdg, an audit and a raw
+    # stream load no process pool
+    code = (
+        "import sys, zdg, zdg.cli\n"
+        "opts = zdg.EnumerationOptions(4)\n"
+        "zdg.audit(opts)\n"
+        "assert sum(1 for _ in zdg.enumerate_semigroups(opts)) == 194\n"
+        "print([m in sys.modules for m in ('concurrent.futures', 'multiprocessing')])"
+    )
     proc = run_python("-c", code)
-    assert (proc.returncode, proc.stdout) == (0, b"False\n")
+    assert (proc.returncode, proc.stdout) == (0, b"[False, False]\n")
 
 
 # -- example and invariants -------------------------------------------------------
@@ -452,8 +459,6 @@ def test_enumerate_limit(capsys):
     "flag, value, message",
     [
         ("--limit", "-1", "--limit: must be at least 0, got -1"),
-        ("--workers", "0", "--workers: must be at least 1, got 0"),
-        ("--workers", "-2", "--workers: must be at least 1, got -2"),
         ("--limit", "abc", "--limit: invalid int value: 'abc'"),
     ],
 )
@@ -522,10 +527,9 @@ def test_search_predicate_at_its_least_argument_finds_matches(capsys, predicate)
 # -- audit ----------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("workers", ["1", "2"])
 @pytest.mark.parametrize("iso", [[], ["--up-to-iso"]], ids=["raw", "iso"])
-def test_audit_prints_the_library_report(capsys, iso, workers):
-    code, out, _ = run_cli(capsys, "audit", "--order", "4", *iso, "--workers", workers)
+def test_audit_prints_the_library_report(capsys, iso):
+    code, out, _ = run_cli(capsys, "audit", "--order", "4", *iso)
     rep = audit(EnumerationOptions(4, up_to_iso=bool(iso)))
     assert code == 0
     assert out == report.render(report.audit_block(rep))

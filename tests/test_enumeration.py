@@ -28,7 +28,6 @@ from zdg import (
     gamma,
     girth,
     null_semigroup,
-    report,
     run_all,
     search,
     validate,
@@ -39,6 +38,7 @@ from oracles import (
     brute_canonical_form,
     burnside_class_count,
     naive_zero_tables,
+    three_nilpotent_count,
 )
 
 # raw counts pinned from the naive generate-and-filter oracle
@@ -64,8 +64,8 @@ SMALL_EXAMPLES = (
 )
 
 
-def tables(opts, **kw):
-    return [s.table for s in enumerate_semigroups(opts, **kw)]
+def tables(opts):
+    return [s.table for s in enumerate_semigroups(opts)]
 
 
 def test_raw_counts_match_naive_oracle():
@@ -133,45 +133,13 @@ def test_reduced_means_no_nonzero_square_is_zero():
         assert [t.entries for t in tables(opts)] == reduced
 
 
-def test_workers_preserve_serial_order():
-    serial = [t.entries for t in tables(EnumerationOptions(order=4))]
-    parallel = [
-        t.entries for t in tables(EnumerationOptions(order=4), workers=3)
-    ]
-    assert serial == parallel
-
-
 @pytest.mark.parametrize("flags, count", [
     ({"up_to_iso": True}, 226),
     ({"require_reduced": True}, 1709),
     ({"up_to_iso": True, "require_reduced": True}, 90),
 ])
-def test_workers_preserve_serial_order_at_order_5(flags, count):
-    opts = EnumerationOptions(order=5, **flags)
-    serial = [t.entries for t in tables(opts)]
-    assert len(serial) == count
-    assert [t.entries for t in tables(opts, workers=2)] == serial
-
-
-class InProcessPool:
-    """Stands in for ProcessPoolExecutor: records its size and the units
-    mapped, and runs each unit in this process."""
-
-    runs = []
-
-    def __init__(self, max_workers):
-        self.max_workers = max_workers
-        self.runs.append(self)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, opts, units):
-        self.units = list(units)
-        return [fn(o, unit) for o, unit in zip(opts, self.units)]
+def test_order_5_stream_counts(flags, count):
+    assert len(tables(EnumerationOptions(order=5, **flags))) == count
 
 
 @pytest.mark.parametrize("flags", [
@@ -180,18 +148,13 @@ class InProcessPool:
     {"require_reduced": True},
     {"up_to_iso": True, "require_reduced": True},
 ])
-def test_worker_units_pin_each_value_of_the_first_domain(monkeypatch, flags):
+def test_units_pin_each_value_of_the_first_domain(flags):
     # a unit is the tuple of cell domains with the first cell pinned to
     # one value; a reduced run has no 1·1 = 0 unit, which yields nothing.
-    # Up to iso, 1·1 is 0 or 1 and 1·1 = 1 leaves 0 off the diagonal
-    import concurrent.futures
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
-    monkeypatch.setattr(InProcessPool, "runs", [])
+    # Up to iso, 1·1 is 0 or 1 and 1·1 = 1 leaves 0 off the diagonal, so
+    # reduced up to iso has the one unit 1·1 = 1
     opts = EnumerationOptions(order=4, **flags)
     units = enumeration._units(opts)
-    merged = [tb.entries for tb, _ in enumeration._parallel_tables(opts, units, workers=8)]
-    (pool,) = InProcessPool.runs
     n, low = 4, int(opts.require_reduced)
     cells = [(i, j) for i in range(1, n) for j in range(i, n)]
 
@@ -202,43 +165,41 @@ def test_worker_units_pin_each_value_of_the_first_domain(monkeypatch, flags):
         expected = [((v,),) + rest(v) for v in range(low, 2)]
     else:
         expected = [((v,),) + rest(low) for v in range(low, n)]
-    assert pool.units == expected
-    assert pool.max_workers == len(pool.units) == (2 - low if opts.up_to_iso else n - low)
+    assert units == expected
+    assert len(units) == (2 - low if opts.up_to_iso else n - low)
     if opts.require_reduced:
-        assert all(unit[0] != (0,) for unit in pool.units)
-    assert merged == [t.entries for t in tables(opts)]
+        assert all(unit[0] != (0,) for unit in units)
 
 
 def test_a_run_with_one_unit_starts_no_pool(monkeypatch):
-    # reduced up to iso has the one unit 1·1 = 1: a worker process would
-    # run it while this process waits
+    # reduced up to iso has the one unit 1·1 = 1; neither it nor a run
+    # with more units reaches for a worker process
     import concurrent.futures
+    import multiprocessing
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
-    monkeypatch.setattr(InProcessPool, "runs", [])
+    def refuse(*args, **kwargs):
+        raise AssertionError("the enumeration started a worker process")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+    monkeypatch.setattr(multiprocessing, "Pool", refuse)
+    monkeypatch.setattr(multiprocessing, "Process", refuse)
     opts = EnumerationOptions(order=5, up_to_iso=True, require_reduced=True)
     assert len(enumeration._units(opts)) == 1
-    serial = [t.entries for t in tables(opts)]
-    assert [t.entries for t in tables(opts, workers=2)] == serial
-    assert InProcessPool.runs == []
-    # a run with two units does start one
-    assert tables(replace(opts, require_reduced=False), workers=2)
-    assert len(InProcessPool.runs) == 1
+    assert len(tables(opts)) == 90
+    unreduced = replace(opts, require_reduced=False)
+    assert len(enumeration._units(unreduced)) == 2
+    assert len(tables(unreduced)) == 226
 
 
-def test_order_6_classes_are_pinned_serially_and_with_workers():
-    opts = EnumerationOptions(order=6, up_to_iso=True)
-    serial = [t.entries for t in tables(opts)]
-    assert len(serial) == ORDER_6_CLASSES
-    assert hashlib.sha256(repr(serial).encode()).hexdigest() == ORDER_6_DIGEST
-    assert [t.entries for t in tables(opts, workers=2)] == serial
+def test_order_6_classes_are_pinned():
+    classes = [t.entries for t in tables(EnumerationOptions(order=6, up_to_iso=True))]
+    assert len(classes) == ORDER_6_CLASSES
+    assert hashlib.sha256(repr(classes).encode()).hexdigest() == ORDER_6_DIGEST
 
 
 @pytest.mark.parametrize("reduced", (False, True))
-@pytest.mark.parametrize("workers", (1, 2))
-def test_raw_order_5_streams_are_pinned_serially_and_with_workers(reduced, workers):
-    stream = tables(EnumerationOptions(order=5, require_reduced=reduced), workers=workers)
-    entries = [t.entries for t in stream]
+def test_raw_order_5_streams_are_pinned(reduced):
+    entries = [t.entries for t in tables(EnumerationOptions(order=5, require_reduced=reduced))]
     digest = hashlib.sha256(repr(entries).encode()).hexdigest()
     assert (len(entries), digest) == RAW_5_STREAMS[reduced]
 
@@ -800,25 +761,35 @@ def test_automorphisms_of_every_class_match_the_oracle():
     # |Aut| as the leaf test counts it and each class carries it
     for n, raw in RAW_TOTALS.items():
         opts = EnumerationOptions(n, up_to_iso=True)
-        classes, counts = zip(*((s.table, aut) for s, aut in enumeration._semigroups(opts, 1)))
+        classes, counts = zip(*((s.table, aut) for s, aut in enumeration._semigroups(opts)))
         assert list(counts) == [automorphism_count(tb.entries) for tb in classes]
         # the orbits of the classes partition the raw tables
         assert sum(math.factorial(n - 1) // a for a in counts) == raw
+
+
+# classes with S³ = 0 ≠ S² and the labelled tables in their orbits, by order
+THREE_NILPOTENT = {3: (1, 2), 4: (5, 21), 5: (23, 324), 6: (155, 11195)}
+
+
+def test_three_nilpotent_orbits_match_the_closed_form():
+    # the closed form counts labelled tables; the generator's classes,
+    # each weighted by its orbit size (n-1)!/|Aut|, must add up to it
+    for n, pinned in THREE_NILPOTENT.items():
+        orbits = []
+        for s, aut in enumeration._semigroups(EnumerationOptions(n, up_to_iso=True)):
+            rows = s.table.entries
+            square_nonzero = any(any(row) for row in rows)
+            cube_zero = all(rows[rows[x][y]][z] == 0 for x in range(n) for y in range(n) for z in range(n))
+            if square_nonzero and cube_zero:
+                orbits.append(math.factorial(n - 1) // aut)
+        assert (len(orbits), sum(orbits)) == pinned
+        assert sum(orbits) == three_nilpotent_count(n)
 
 
 def test_a_raw_audit_takes_no_limit():
     with pytest.raises(ValueError):
         audit(EnumerationOptions(4, limit=10))
     assert audit(EnumerationOptions(4, up_to_iso=True, limit=10)).total == 10
-
-
-def test_parallel_audit_renders_the_serial_bytes():
-    opts = EnumerationOptions(5)
-
-    def rendered(rep):
-        return report.render(report.audit_block(rep))
-
-    assert rendered(audit(opts, workers=2)) == rendered(audit(opts))
 
 
 # -- search -------------------------------------------------------------------
@@ -852,27 +823,6 @@ def test_search_sharing_graphs_equals_a_filter_over_fresh_semigroups(spec):
     fresh = [table for table in tables(opts) if holds(table)]
     assert fresh or spec == "chi-omega-gap"  # no χ > ω gap below order 7
     assert [s.table for s in search(opts, spec)] == fresh
-
-
-def test_parallel_search_yields_the_serial_tables_in_order():
-    opts = EnumerationOptions(5)
-    serial = [s.table for s in search(opts, "has-bridge")]
-    assert serial
-    assert [s.table for s in search(opts, "has-bridge", workers=2)] == serial
-
-
-def test_a_limited_search_runs_serially(monkeypatch):
-    # the first match can come at once; worker processes would run every
-    # first-cell branch to its end before the limit is reached
-    opts = EnumerationOptions(5, limit=1)
-    serial = [s.table for s in search(opts, "has-bridge")]
-    assert len(serial) == 1
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("a limited search went to the workers")
-
-    monkeypatch.setattr(enumeration, "_parallel_tables", refuse)
-    assert [s.table for s in search(opts, "has-bridge", workers=2)] == serial
 
 
 def test_search_girth_4_finds_the_two_group_union():
@@ -924,7 +874,6 @@ def test_search_reduced_equals_an_is_reduced_filter(opts):
     filtered = [s.table for s in enumerate_semigroups(opts) if s.is_reduced()]
     assert [s.table for s in search(opts, "reduced")] == filtered
     if opts.order == 5:
-        assert [s.table for s in search(opts, "reduced", workers=2)] == filtered
         assert [s.table for s in search(replace(opts, limit=10), "reduced")] == filtered[:10]
 
 
