@@ -387,11 +387,12 @@ def test_up_to_iso_stream_is_the_brute_filtered_raw_stream(
         # 1·1 free in 0..4 with every square free, 2,372; tests at the ends
         # of rows 1 and 2 and at the leaf, 1,219 (474 + 745): now a test
         # after every filled cell, the last one included, before the leaf's
-        # check of every triple, 485 of them on the last cell
-        assert sum(canonicity_tests.values()) == 1865
-        assert sum(v for (row, _), v in canonicity_tests.items() if row == 4) == 485
+        # check of every triple, 1,865 of them, 485 on the last cell; now the
+        # values a waiting record beats skip the test, 586 of them
+        assert sum(canonicity_tests.values()) == 1279
+        assert sum(v for (row, _), v in canonicity_tests.items() if row == 4) == 277
         # a test looks its records up and calls no walker unless one must
-        # split a block or branch: 206 of the 1,865 tests walk a record
+        # split a block or branch: 206 of the 1,279 tests walk a record
         assert len(walked_tests) == 206
 
 
@@ -562,15 +563,17 @@ def test_a_permutation_record_that_reads_an_unfilled_cell_waits_on_its_rank():
     swap = record_of(0, 1, 3, 2)
     done, waiting = resume(t, 4, ([swap], nothing_waiting(4)), 1)
     assert done == []
-    assert waiting == [None, None, (record_of(1, 1, 3, 2), None), None, None, None]
-    # once 1*3 is filled, the waiting record is looked up from cell (1, 2)
-    # on: it beats the bound, loses, or ties through cell (1, 3)
-    t[1 * 4 + 3] = t[3 * 4 + 1] = 0
-    assert resume(t, 4, (done, waiting), 2) is None
-    t[1 * 4 + 3] = t[3 * 4 + 1] = 2
-    assert resume(t, 4, (done, waiting), 2)[0] == []
-    t[1 * 4 + 3] = t[3 * 4 + 1] = 1
-    assert resume(t, 4, (done, waiting), 2)[0] == [record_of(3, 1, 3, 2)]
+    # its lookup of 1*3 will compare the label of 1*3 with the bound's
+    # 1*2 = 1: the value 0 (label 0) beats the bound, so it is masked; the
+    # record ties on 1 alone (label 1), and 2 and 3 (labels 3 and 2) drop it
+    tied = (None, (record_of(1, 1, 3, 2), None), None, None)
+    assert waiting == [None, None, (0b0001, None, tied), None, None, None]
+    # once 1*3 is filled, the record is looked up from cell (1, 2) on only
+    # for the value it ties on, and goes on through cell (1, 3)
+    for value, after in ((0, None), (1, [record_of(3, 1, 3, 2)]), (2, []), (3, [])):
+        t[1 * 4 + 3] = t[3 * 4 + 1] = value
+        test = resume(t, 4, (done, waiting), 2)
+        assert (test if test is None else test[0]) == after
 
 
 def test_resuming_a_test_changes_none_of_its_records():
@@ -640,7 +643,7 @@ def test_the_identity_is_carried_unwalked_and_counted_in_aut(name):
     records = 0
     for _, _, test in fill_path(n, values, len(enumeration._cells(n)) - 1):
         done, waiting = test
-        for c, sigma, pos, cs, ce in done + [r for chain in waiting for r in chain_records(chain)]:
+        for c, sigma, pos, cs, ce in done + [r for waits in waiting for r in waiting_records(waits)]:
             records += 1
             # a record may hold sigma = identity while a block is left
             assert sigma != identity or cs != identity
@@ -648,11 +651,77 @@ def test_the_identity_is_carried_unwalked_and_counted_in_aut(name):
     assert len(done) + 1 == automorphism_count(table.entries)
 
 
-def chain_records(chain):
-    """The records of one waiting chain (record, rest)."""
-    while chain:
-        record, chain = chain
-        yield record
+def waiting_records(waits):
+    """The records waiting on one fill rank, from its entry (beaten values,
+    split chain, tie chains by value) or None; each chain is (record, rest)."""
+    _, split, ties = waits or (0, None, ())
+    for chain in (split, *ties):
+        while chain:
+            record, chain = chain
+            yield record
+
+
+@pytest.mark.parametrize("reduced", (False, True))
+@pytest.mark.parametrize("order", (3, 4, 5))
+def test_masked_values_are_beaten_and_reach_no_associativity_check(order, reduced, monkeypatch):
+    # along every fill path the generator takes (both units, or the one
+    # reduced unit), each value masked in the entry of the next cell is one
+    # that a fresh test of the filled prefix finds beaten, and descend
+    # skips it before _watch_ok. Every waiting record has the labels of its
+    # compared cell fixed, so its one lookup decides each value
+    n = order
+    cells = enumeration._cells(n)
+    prepare, watch_ok, resume_ = enumeration._prepare, enumeration._watch_ok, enumeration._resume
+    ranks = {}  # id of a watch list: its fill rank
+    befores = {}  # fill rank: the test before it on the current path
+    counts = collections.Counter()
+
+    def beaten(k):
+        waits = befores[k][1][k] if k in befores else None
+        return waits[0] if waits else 0
+
+    def prepared(n, cells):
+        rank, watch = prepare(n, cells)
+        ranks.update((id(triples), k) for k, triples in enumerate(watch))
+        return rank, watch
+
+    def checked(n, t, triples):
+        k = ranks[id(triples)]
+        if k < len(cells):
+            i, j = cells[k]
+            assert not beaten(k) >> t[i * n + j] & 1
+        counts["checks"] += 1
+        return watch_ok(n, t, triples)
+
+    def resumed(t, n, prefix, rank, before, k):
+        after = resume_(t, n, prefix, rank, before, k)
+        if after is None or k + 1 == len(cells):
+            return after
+        befores[k + 1] = after
+        for waits in after[1]:
+            counts["split"] += bool(waits and waits[1])
+            for c, sigma, pos, cs, ce in waiting_records(waits):
+                a, b = prefix[c]
+                assert ce[a] - cs[a] == ce[b] - cs[b] == 1
+        i, j = cells[k + 1]
+        for v in range(n):
+            if beaten(k + 1) >> v & 1:
+                u = t[:]
+                u[i * n + j] = u[j * n + i] = v
+                assert fresh_test(u, n, k + 1) is None, (u, k + 1)
+                counts["masked"] += 1
+        return after
+
+    opts = EnumerationOptions(n, up_to_iso=True, require_reduced=reduced)
+    expected = tables(opts)
+    monkeypatch.setattr(enumeration, "_prepare", prepared)
+    monkeypatch.setattr(enumeration, "_watch_ok", checked)
+    monkeypatch.setattr(enumeration, "_resume", resumed)
+    assert tables(opts) == expected
+    assert counts["checks"] > 0
+    assert counts["masked"] > 0
+    # records that must split a block first wait at order 5
+    assert counts["split"] > 0 or n < 5
 
 
 @pytest.mark.parametrize("order", (2, 3, 4, 5))
